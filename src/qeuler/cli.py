@@ -26,11 +26,19 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .euler import MINUS_Q_INVERSE, euler_number_q, frobenius_euler, table_rows
-from .exactalg import rational_to_json
+from .euler import (
+    MINUS_Q_INVERSE,
+    IndexCapError,
+    check_index,
+    euler_number_q,
+    frobenius_euler,
+    table_rows,
+)
+from .exactalg import _fraction_latex
 from .identities import REGISTRY, default_ranges, run_suite
 from .padic import (
     CALIBRATED_SLACK,
@@ -118,9 +126,16 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 def _emit(text: str, out_path: str | None) -> int:
     """Write ``text`` to stdout or to a file.  Returns 0 or 3."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _point_stdout_at_devnull()
+            print("error: cannot write output: the reader closed the pipe",
+                  file=sys.stderr)
+            return 3
         return 0
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -133,6 +148,21 @@ def _emit(text: str, out_path: str | None) -> int:
     return 0
 
 
+def _point_stdout_at_devnull() -> None:
+    """Send what stdout still buffers to the null device.
+
+    The interpreter flushes stdout again at exit; on a closed pipe that
+    flush would fail once more, print "Exception ignored" and exit 120.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # a stream with no file descriptor has no pipe to flush into
+    finally:
+        os.close(devnull)
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -143,6 +173,7 @@ def _usage_error(message: str) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n_max = args.n_max
+    check_index(n_max)
     if args.format == "json":
         text = json.dumps({"rows": table_rows(n_max)}, indent=2)
     elif args.format == "csv":
@@ -161,18 +192,11 @@ def cmd_table(args: argparse.Namespace) -> int:
             classical = e(Fraction(1))
             frob = frobenius_euler(n, MINUS_Q_INVERSE)
             lines.append(
-                f"{n} & ${e.latex()}$ & ${_latex_fraction(classical)}$"
+                f"{n} & ${e.latex()}$ & ${_fraction_latex(classical)}$"
                 f" & ${frob.latex()}$ \\\\"
             )
         text = "\n".join(lines)
     return _emit(text, args.out)
-
-
-def _latex_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
 # -- verify -----------------------------------------------------------
@@ -315,7 +339,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except IndexCapError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

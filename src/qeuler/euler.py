@@ -36,6 +36,8 @@ from .exactalg import PolyQ, RatFunc, XPoly, binomial, rational_to_json
 
 __all__ = [
     "EulerCache",
+    "IndexCapError",
+    "check_index",
     "euler_number_q",
     "euler_number_q_inverse",
     "euler_poly_q",
@@ -48,11 +50,15 @@ __all__ = [
 MINUS_Q_INVERSE = RatFunc(PolyQ((-1,)), PolyQ((0, 1)))
 
 
+class IndexCapError(ValueError):
+    """An index above the cap of the EulerCache asked for it."""
+
+
 class EulerCache:
     """Memo table for q-Euler, Frobenius-Euler, and classical Euler values.
 
     Values are computed on demand and never evicted.  Indices above
-    ``n_max`` raise ValueError; construct a larger cache to go further.
+    ``n_max`` raise IndexCapError; construct a larger cache to go further.
     A single lock guards insertion, so one cache may be shared between
     threads (stored values are immutable).
     """
@@ -71,7 +77,7 @@ class EulerCache:
         if n < 0:
             raise ValueError("index must be nonnegative")
         if n > self.n_max:
-            raise ValueError(
+            raise IndexCapError(
                 f"index {n} exceeds this cache's cap n_max={self.n_max}; "
                 "construct EulerCache(n_max=...) with a larger cap"
             )
@@ -136,6 +142,11 @@ _DEFAULT_CACHE = EulerCache()
 
 def _cache(cache: EulerCache | None) -> EulerCache:
     return _DEFAULT_CACHE if cache is None else cache
+
+
+def check_index(n: int, cache: EulerCache | None = None) -> None:
+    """Raise IndexCapError when n is above the cap of the cache (default: shared)."""
+    _cache(cache)._check_index(n)
 
 
 def euler_number_q(n: int, cache: EulerCache | None = None) -> RatFunc:

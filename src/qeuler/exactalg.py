@@ -6,9 +6,16 @@ Representation conventions used throughout the package:
 * Scalars are ``fractions.Fraction`` values (always reduced, denominator
   positive, arbitrary precision).  ``Rational`` is an alias for it.
 * ``PolyQ`` is a dense univariate polynomial in the variable q over Q,
-  stored as a tuple of Fractions where index i holds the coefficient of
-  q**i.  Trailing zero coefficients are stripped, so the leading
-  coefficient is nonzero and the zero polynomial is the empty tuple.
+  stored as a tuple of Python ints plus one positive integer denominator:
+  the coefficient of q**i is ``_ints[i] / _den``.  Trailing zero integers
+  are stripped, so the leading coefficient is nonzero and the zero
+  polynomial is the empty tuple over 1, and ``_den`` shares no factor
+  with the content (gcd) of the ints.  Equal polynomials therefore have
+  equal storage.  Arithmetic runs on the ints alone: sums and products
+  are integer loops followed by one gcd, division is pseudo-division
+  over Z, and the gcd is a primitive remainder sequence over Z.  The
+  read-only ``coeffs`` attribute gives the coefficients as a tuple of
+  reduced Fractions.
 * ``RatFunc`` is an element of Q(q) kept in canonical form: numerator and
   denominator coprime, denominator monic (and hence nonzero).  Zero is
   0/1.  Because the form is canonical, structural equality of two
@@ -84,18 +91,24 @@ def _fraction_latex(c: Fraction) -> str:
 class PolyQ:
     """Dense polynomial in q over Q.  See the module docstring for layout."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den")
 
-    coeffs: tuple[Fraction, ...]
+    _ints: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(1, *(c.denominator for c in cs))
+        _store(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyQ is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as reduced Fractions, index i holding that of q**i."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._ints)
 
     @classmethod
     def monomial(cls, degree: int, coeff: ScalarLike = 1) -> "PolyQ":
@@ -106,47 +119,54 @@ class PolyQ:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyQ):
-            return self.coeffs == other.coeffs
+            return self._ints == other._ints and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == PolyQ((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("PolyQ", self.coeffs))
+        return hash(("PolyQ", self._ints, self._den))
 
     def __add__(self, other: object) -> "PolyQ":
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        da, db = self._den, other._den
+        if da != db:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return PolyQ(out)
+        return _poly(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self._ints], self._den)
 
     def __sub__(self, other: object) -> "PolyQ":
         other = _as_poly_or_none(other)
@@ -162,19 +182,19 @@ class PolyQ:
 
     def __mul__(self, other: object) -> "PolyQ":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return PolyQ()
-            return PolyQ(tuple(c * other for c in self.coeffs))
+            num, den = other.numerator, other.denominator
+            return _poly([c * num for c in self._ints], self._den * den)
         if not isinstance(other, PolyQ):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._ints, other._ints
+        if not a or not b:
             return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -200,22 +220,12 @@ class PolyQ:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.lead
-        dn = other.degree
-        while len(rem) - 1 >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            shift = len(rem) - 1 - dn
-            factor = rem[-1] / dlead
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return PolyQ(quo), PolyQ(rem)
+        # scale * ints(self) = quo * ints(other) + rem over Z; divide by
+        # scale and the stored denominators to get the quotient over Q.
+        quo, rem, scale = _int_divmod(self._ints, other._ints)
+        den = scale * self._den
+        quo = _poly([c * other._den for c in quo], den)
+        return quo, _poly(rem, den)
 
     def __floordiv__(self, other: "PolyQ") -> "PolyQ":
         return divmod(self, other)[0]
@@ -228,22 +238,26 @@ class PolyQ:
         return (other % self).is_zero
 
     def __call__(self, point: ScalarLike) -> Fraction:
-        """Evaluate by Horner's rule at a rational point."""
+        """Evaluate at a rational point a/b by Horner's rule on b**degree * p(a/b)."""
         point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if not self._ints:
+            return Fraction(0)
+        a, b = point.numerator, point.denominator
+        acc = 0
+        bpow = 1
+        for c in reversed(self._ints):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return Fraction(acc, self._den * (bpow // b))
 
     def monic(self) -> "PolyQ":
         if self.is_zero:
             return self
-        lead = self.lead
-        return self if lead == 1 else self * (Fraction(1) / lead)
+        return _monic(list(self._ints))
 
     def reverse(self) -> "PolyQ":
         """Coefficient reversal: q**degree * p(1/q), the zero polynomial fixed."""
-        return PolyQ(tuple(reversed(self.coeffs)))
+        return _poly(list(reversed(self._ints)), self._den)
 
     def to_json(self) -> list:
         return [rational_to_json(c) for c in self.coeffs]
@@ -255,9 +269,10 @@ class PolyQ:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             mag = abs(c)
@@ -275,9 +290,10 @@ class PolyQ:
     def latex(self, var: str = "q") -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             mag = abs(c)
@@ -296,11 +312,87 @@ class PolyQ:
         return f"PolyQ({str(self)!r})"
 
 
+def _store(p: PolyQ, ints: list[int], den: int) -> PolyQ:
+    """Give p the value ints/den (den > 0) in normalised storage; return p.
+
+    Trailing zeros are stripped and the denominator shares no factor with
+    the content of the integers, so equal polynomials store equal values.
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    object.__setattr__(p, "_ints", tuple(ints))
+    object.__setattr__(p, "_den", den)
+    return p
+
+
+def _poly(ints: list[int], den: int) -> PolyQ:
+    """A new PolyQ of value ints/den (den > 0)."""
+    return _store(object.__new__(PolyQ), ints, den)
+
+
+def _monic(ints: list[int]) -> PolyQ:
+    """The monic multiple of the nonzero integer polynomial ints."""
+    lead = ints[-1]
+    if lead < 0:
+        ints = [-c for c in ints]
+        lead = -lead
+    return _poly(ints, lead)
+
+
+def _int_divmod(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Division of u by nonzero v over Z, scaled only where it must be.
+
+    Returns (quo, rem, scale) with scale > 0, scale * u = quo * v + rem and
+    deg rem < deg v.  A step multiplies the running remainder by the part
+    of lead(v) that does not divide its top coefficient, so scale is 1
+    exactly when v divides u with an integer quotient.
+    """
+    rem = list(u)
+    dv = len(v) - 1
+    lead = v[-1]
+    quo = [0] * max(len(rem) - dv, 0)
+    scale = 1
+    for top in range(len(rem) - 1, dv - 1, -1):
+        coef = rem.pop()
+        if not coef:
+            continue
+        g = math.gcd(coef, lead)
+        if lead < 0:
+            g = -g
+        m = lead // g
+        if m != 1:
+            rem = [m * c for c in rem]
+            quo = [m * c for c in quo]
+            scale *= m
+        factor = coef // g
+        shift = top - dv
+        quo[shift] = factor
+        rem[shift:] = [r - factor * c for r, c in zip(rem[shift:], v)]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem, scale
+
+
+def _exact_quotient(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """u / v over Z, for a v known to divide u with an integer quotient."""
+    quo, rem, scale = _int_divmod(u, v)
+    if rem or scale != 1:
+        raise ArithmeticError("inexact division in rational function canonicalisation")
+    return quo
+
+
 def _as_poly_or_none(value: object) -> PolyQ | None:
     if isinstance(value, PolyQ):
         return value
     if isinstance(value, (int, Fraction)):
-        return PolyQ((value,))
+        return _poly([value.numerator], value.denominator)
     return None
 
 
@@ -311,61 +403,26 @@ def _as_poly(value: object) -> PolyQ:
     return poly
 
 
-def _primitive_int_coeffs(p: PolyQ) -> list[int]:
-    """Integer coefficient list of a rational multiple of p, content 1."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    return [c // content for c in ints]
-
-
-def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of u by v over Z (coefficients ascending)."""
-    r = list(u)
-    dv = len(v) - 1
-    lead = v[-1]
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dv:
-            return r
-        coef = r[-1]
-        shift = len(r) - 1 - dv
-        r = [lead * c for c in r]
-        for i, vc in enumerate(v):
-            r[shift + i] -= coef * vc
-
-
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Monic gcd of two polynomials over Q; gcd(0, 0) is 0.
 
-    Runs the primitive polynomial remainder sequence over Z, which
-    avoids the coefficient blowup of the plain Euclidean algorithm
-    on Fraction arithmetic.
+    Runs the primitive polynomial remainder sequence on the stored
+    integer coefficients, so no rational arithmetic is needed.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u = _primitive_int_coeffs(a)
-    v = _primitive_int_coeffs(b)
+    u, v = a._ints, b._ints
     if len(u) < len(v):
         u, v = v, u
-    while True:
-        r = _pseudo_rem(u, v)
+    while len(v) > 1:
+        r = _int_divmod(u, v)[1]
         if not r:
             break
-        content = 0
-        for c in r:
-            content = math.gcd(content, c)
+        content = math.gcd(*r)
         u, v = v, [c // content for c in r]
-        if len(v) == 1:
-            break
-    return PolyQ(tuple(Fraction(c) for c in v)).monic()
+    return _monic(list(v))
 
 
 class RatFunc:
@@ -392,17 +449,19 @@ class RatFunc:
             object.__setattr__(self, "num", PolyQ())
             object.__setattr__(self, "den", PolyQ((1,)))
             return
-        g = poly_gcd(n, d)
-        if g.degree > 0:
-            n = n // g
-            d = d // g
-        lead = d.lead
-        if lead != 1:
-            inv = Fraction(1) / lead
-            n = n * inv
-            d = d * inv
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        # n/d = (nu/n_den) / (du/d_den) = (nu * d_den) / (du * n_den).
+        nu, du = n._ints, d._ints
+        if len(nu) > 1 and len(du) > 1:
+            g = poly_gcd(n, d)
+            if g.degree > 0:
+                # g is monic with primitive integer part, so by Gauss's
+                # lemma both quotients have integer coefficients.
+                nu = _exact_quotient(nu, g._ints)
+                du = _exact_quotient(du, g._ints)
+        lead = du[-1]
+        scale = d._den if lead > 0 else -d._den
+        object.__setattr__(self, "num", _poly([c * scale for c in nu], n._den * abs(lead)))
+        object.__setattr__(self, "den", _monic(list(du)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RatFunc is immutable")

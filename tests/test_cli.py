@@ -1,12 +1,15 @@
 """End-to-end tests of the command line interface (in process)."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from qeuler import euler
 from qeuler.cli import main
+from qeuler.euler import EulerCache
 from qeuler.exactalg import RatFunc
 from qeuler.identities import REGISTRY, Identity
 
@@ -215,6 +218,62 @@ def test_out_unwritable_is_io_error(capsys):
 def test_usage_errors_exit_2(capsys, argv):
     code, _, _ = run(capsys, argv)
     assert code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_broken_pipe_is_io_error(monkeypatch, capsys, fail_on):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fail_on))
+    code = main(["table", "--n-max", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("n_max, read", [("25", 10), ("1", 0)])
+def test_broken_pipe_through_a_real_pipe(n_max, read):
+    # The reader leaves either after 10 bytes of a table larger than a
+    # pipe buffer, or before a small table is written.  Buffered stdout,
+    # as by default, keeps what it could not write for the interpreter's
+    # exit-time flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qeuler", "table", "--n-max", n_max],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n-max", "6"],
+    ["verify", "--id", "eq9", "--n-max", "6"],
+])
+def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
+    monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache(n_max=5))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "n_max=5" in err
 
 
 def test_module_entry_point():

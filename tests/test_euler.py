@@ -9,10 +9,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler.euler import (
     MINUS_Q_INVERSE,
     EulerCache,
+    IndexCapError,
     classical_euler_number,
     euler_number_q,
     euler_number_q_inverse,
@@ -160,7 +163,7 @@ def test_frobenius_rejects_u_equal_one():
 def test_cache_cap_and_negative_index():
     cache = EulerCache(n_max=4)
     assert cache.number(4) == euler_number_q(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexCapError):
         cache.number(5)
     with pytest.raises(ValueError):
         euler_number_q(-1)
@@ -182,3 +185,50 @@ def test_table_rows_shape():
     assert RatFunc.from_json(rows[2]["frobenius"]) == frobenius_euler(2, MINUS_Q_INVERSE)
     with pytest.raises(ValueError):
         table_rows(-1)
+
+
+# -- scalar oracles at rational points --------------------------------------
+#
+# These recurrences run directly in Q at a point q0 and never build a
+# RatFunc, so they check the Q(q) arithmetic and its canonical forms from
+# outside.
+
+rational_points = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7
+).filter(lambda r: r not in (0, -1))
+
+
+def scalar_qeuler(q0, n_max):
+    values = [Fraction(2) / (q0 + 1)]
+    for n in range(1, n_max + 1):
+        acc = sum(binomial(n, l) * values[l] for l in range(n))
+        values.append(-q0 / (1 + q0) * acc)
+    return values
+
+
+def scalar_frobenius(u0, n_max):
+    values = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = sum(binomial(n, l) * values[l] for l in range(n))
+        values.append(acc / (u0 - 1))
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_points)
+def test_qeuler_numbers_match_scalar_recurrence(q0):
+    expected = scalar_qeuler(q0, 12)
+    assert [euler_number_q(n)(q0) for n in range(13)] == expected
+
+
+#: A Frobenius parameter whose denominators are prime to q(1+q); u(q0) != 1
+#: for every rational q0 because q^2 - q + 1 has no rational root.
+GENERAL_U = (q + 2) / (q**2 + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_points)
+def test_frobenius_general_u_matches_scalar_recurrence(q0):
+    u0 = (q0 + 2) / (q0 * q0 + 3)
+    expected = scalar_frobenius(u0, 12)
+    assert [frobenius_euler(n, GENERAL_U)(q0) for n in range(13)] == expected

@@ -13,6 +13,7 @@ from qeuler.exactalg import (
     XPoly,
     binomial,
     make_rational,
+    _exact_quotient,
     poly_gcd,
     q,
     rational_from_json,
@@ -232,3 +233,47 @@ def test_xpoly_compose_identity(coeffs):
     p = XPoly(coeffs)
     assert p.compose_affine(1, 0) == p
     assert p.compose_affine(-1, 1).compose_affine(-1, 1) == p
+
+
+def _value_or_none(f, point):
+    try:
+        return f(point)
+    except PoleError:
+        return None
+
+
+@settings(max_examples=80)
+@given(ratfuncs(), ratfuncs(),
+       st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                    max_denominator=7).filter(lambda r: r not in (0, -1)))
+def test_ratfunc_arithmetic_commutes_with_evaluation(a, b, q0):
+    va, vb = _value_or_none(a, q0), _value_or_none(b, q0)
+    if va is None or vb is None:
+        return
+    assert (a + b)(q0) == va + vb
+    assert (a - b)(q0) == va - vb
+    assert (a * b)(q0) == va * vb
+    assert (-a)(q0) == -va
+    if vb != 0:
+        assert (a / b)(q0) == va / vb
+    inverse = _value_or_none(a, 1 / q0)
+    if inverse is not None:
+        assert a.invert_q()(q0) == inverse
+
+
+def test_polyq_equal_values_have_equal_storage():
+    a = PolyQ((Fraction(2, 4), Fraction(3, 4)))
+    b = PolyQ((1, Fraction(3, 2))) * Fraction(1, 2)
+    assert a == b == PolyQ((4, 6)) * Fraction(1, 8)
+    assert hash(a) == hash(b) == hash(PolyQ((4, 6)) * Fraction(1, 8))
+    assert a.coeffs == b.coeffs == (Fraction(1, 2), Fraction(3, 4))
+    assert all(type(c) is Fraction for c in a.coeffs + b.coeffs)
+    assert RatFunc(1, PolyQ((1, 2))).den.coeffs == (Fraction(1, 2), Fraction(1))
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1, 1], [0, 2])
