@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qeuler import euler
+from qeuler import cli, euler, padic
 from qeuler.cli import main
 from qeuler.euler import EulerCache
 from qeuler.exactalg import RatFunc
@@ -186,6 +186,48 @@ def test_padic_latex(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["0 & 1 & 2 & yes \\\\"]
+
+
+def test_padic_valuation_dip_above_floor_passes(capsys):
+    # S_1 meets the target to one extra digit: valuations 4, 3, 4, 5, 6, 6
+    argv = ["padic", "--p", "11", "--q0", "12", "--precision", "6",
+            "--depth", "6", "--n-max", "8", "--x0", "6"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert [row["val"] for row in data["reports"][-1]["rows"]] \
+        == [4, 3, 4, 5, 6, 6]
+    code, out, _ = run(capsys, argv + ["--format", "latex"])
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "8 & 6 & 5 & no \\\\"
+
+
+def test_padic_large_prime(capsys):
+    code, out, _ = run(capsys, ["padic", "--p", "101", "--precision", "3",
+                                "--depth", "5", "--n-max", "3"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert len(data["reports"]) == 12
+    assert all(len(report["rows"]) == 5 for report in data["reports"])
+
+
+def test_padic_fails_below_the_floor(capsys, monkeypatch):
+    def low_at_depth_two(**kwargs):
+        report = padic.witt_convergence_check(**kwargs)
+        entries = list(report.entries)
+        entries[1] = padic.DepthEntry(2, entries[1].partial_sum, 1)
+        return padic.ConvergenceReport(
+            report.p, report.M, report.q0, report.n, report.x0,
+            report.target, tuple(entries))
+
+    monkeypatch.setattr(cli, "witt_convergence_check", low_at_depth_two)
+    code, out, _ = run(capsys, ["padic", "--p", "3", "--precision", "3",
+                                "--depth", "4", "--n-max", "0", "--x0", "0"])
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "n=0 x0=0: valuation 1 at depth 2 is below the floor 2"]
 
 
 # -- output redirection and usage errors ---------------------------------

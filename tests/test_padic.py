@@ -1,8 +1,11 @@
 """Tests for residue arithmetic and the truncated fermionic sums."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler.padic import (
     CALIBRATED_SLACK,
@@ -155,3 +158,112 @@ def test_shift_identity_domain_errors():
 
 def test_calibration_reproduces_frozen_slack():
     assert calibrate_truncation_slack() == CALIBRATED_SLACK
+
+
+# -- oracles independent of the block recursion ------------------------------
+
+
+def direct_sums(n, x0, q0, p, N_max, M):
+    """S_1 .. S_{N_max} by the defining loop over y < p^N, reduced mod p^M."""
+    pm = p**M
+    sums = []
+    acc = 0
+    boundary = p
+    for y in range(p**N_max):
+        acc = (acc + pow(-q0, y, pm) * pow(x0 + y, n, pm)) % pm
+        if y + 1 == boundary:
+            sums.append(acc)
+            boundary *= p
+    return sums
+
+
+ORACLE_PRIMES = (3, 5, 7, 11)
+ORACLE_PRECISIONS = (1, 2, 5)
+#: Sums mod p^WIDEST reduce to every precision of the grid.
+WIDEST = max(ORACLE_PRECISIONS)
+ORACLE_X0 = (0, 1, 2, 5)
+
+
+def oracle_bases(p):
+    return (1, 1 + p, 1 + 2 * p, 1 - p, 1 + p * p)
+
+
+def test_partial_sums_match_direct_loop():
+    depth = 3
+    for p in ORACLE_PRIMES:
+        for q0 in oracle_bases(p):
+            for n in range(8):
+                for x0 in ORACLE_X0:
+                    widest = direct_sums(n, x0, q0, p, depth, WIDEST)
+                    for M in ORACLE_PRECISIONS:
+                        expected = [s % p**M for s in widest]
+                        got = [fermionic_partial_sum(n, x0, q0, p, N, M).residue
+                               for N in range(1, depth + 1)]
+                        assert got == expected, (p, q0, n, x0, M)
+                        report = witt_convergence_check(n, x0, p, q0, M, depth)
+                        assert [e.partial_sum for e in report.entries] \
+                            == expected, (p, q0, n, x0, M)
+
+
+def test_shift_identity_numeric_matches_direct_loop():
+    depth = 3
+    for p in ORACLE_PRIMES:
+        for q0 in oracle_bases(p):
+            for m in range(8):
+                plain = direct_sums(m, 0, q0, p, depth, WIDEST)
+                for nshift in (x0 for x0 in ORACLE_X0 if x0 > 0):
+                    shifted = direct_sums(m, nshift, q0, p, depth, WIDEST)
+                    boundary = sum((-1) ** (nshift - 1 - l) * q0**l * l**m
+                                   for l in range(nshift))
+                    for M in ORACLE_PRECISIONS:
+                        pm = p**M
+                        for N in range(1, depth + 1):
+                            lhs = shifted[N - 1] * q0**nshift % pm
+                            rhs = ((-1) ** nshift * plain[N - 1]
+                                   + 2 * boundary) % pm
+                            result = shift_identity_check_numeric(
+                                m, nshift, q0, p, N, M)
+                            where = (p, q0, m, nshift, N, M)
+                            assert result.lhs.residue == lhs, where
+                            assert result.rhs.residue == rhs, where
+                            assert result.equal == (lhs == rhs), where
+
+
+def scalar_qeuler_poly(n, x0, q0):
+    """E_n(x0, q0) from the scalar recurrence in Q; no RatFunc involved."""
+    numbers = [Fraction(2, 1 + q0)]
+    for k in range(1, n + 1):
+        acc = sum(comb(k, l) * numbers[l] for l in range(k))
+        numbers.append(Fraction(-q0, 1 + q0) * acc)
+    return sum(comb(n, l) * numbers[l] * x0 ** (n - l) for l in range(n + 1))
+
+
+def p_valuation(value, p, M):
+    value %= p**M
+    v = 0
+    while v < M and value % p == 0:
+        value //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7, 11, 13)),
+    t=st.integers(-5, 5),
+    x0=st.integers(0, 8),
+    n=st.integers(0, 8),
+    M=st.integers(1, 6),
+)
+def test_partial_sums_converge_to_scalar_target(p, t, x0, n, M):
+    q0 = 1 + p * t
+    pm = p**M
+    exact = scalar_qeuler_poly(n, x0, q0)
+    target = exact.numerator * pow(exact.denominator, -1, pm) % pm
+    depth = M + 1
+    assert fermionic_partial_sum(n, x0, q0, p, depth, M).residue == target
+    report = witt_convergence_check(n, x0, p, q0, M, depth)
+    assert report.target == target
+    for entry in report.entries:
+        assert entry.valuation == p_valuation(entry.partial_sum - target, p, M)
+        assert entry.valuation >= min(entry.N, M)
