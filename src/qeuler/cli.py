@@ -31,16 +31,8 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .euler import (
-    MINUS_Q_INVERSE,
-    IndexCapError,
-    check_index,
-    euler_number_q,
-    frobenius_euler,
-    table_rows,
-)
+from .euler import IndexCapError, _table_values, check_index, table_rows
 from .exactalg import _fraction_latex
 from .identities import REGISTRY, default_ranges, run_suite
 from .padic import (
@@ -171,6 +163,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 # -- table ------------------------------------------------------------
 
 
@@ -180,25 +180,17 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps({"rows": table_rows(n_max)}, indent=2)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["n", "e_nq", "e_at_q1", "frobenius"])
-        for n in range(n_max + 1):
-            e = euler_number_q(n)
-            writer.writerow([n, str(e), str(e(Fraction(1))),
-                             str(frobenius_euler(n, MINUS_Q_INVERSE))])
-        text = buffer.getvalue()
+        text = _csv_text(
+            ["n", "e_nq", "e_at_q1", "frobenius"],
+            ([n, str(e), str(classical), str(frob)]
+             for n, e, classical, frob in _table_values(n_max)),
+        )
     else:
-        lines = []
-        for n in range(n_max + 1):
-            e = euler_number_q(n)
-            classical = e(Fraction(1))
-            frob = frobenius_euler(n, MINUS_Q_INVERSE)
-            lines.append(
-                f"{n} & ${e.latex()}$ & ${_fraction_latex(classical)}$"
-                f" & ${frob.latex()}$ \\\\"
-            )
-        text = "\n".join(lines)
+        text = "\n".join(
+            f"{n} & ${e.latex()}$ & ${_fraction_latex(classical)}$"
+            f" & ${frob.latex()}$ \\\\"
+            for n, e, classical, frob in _table_values(n_max)
+        )
     return _emit(text, args.out)
 
 
@@ -235,12 +227,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(report.to_json(), indent=2)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["id", "params", "status"])
-        for tag, params, status in report.case_log:
-            writer.writerow([tag, " ".join(str(p) for p in params), status])
-        text = buffer.getvalue()
+        text = _csv_text(
+            ["id", "params", "status"],
+            ([tag, " ".join(str(p) for p in params), status]
+             for tag, params, status in report.case_log),
+        )
     else:
         lines = []
         for tag in ranges:
@@ -268,7 +259,11 @@ def cmd_padic(args: argparse.Namespace) -> int:
     p = args.p
     precision = args.precision
     depth = args.depth
-    if not is_odd_prime(p):
+    try:
+        prime = is_odd_prime(p)
+    except ValueError as exc:
+        return _usage_error(f"--p: {exc}")
+    if not prime:
         return _usage_error(f"--p must be an odd prime, got {p}")
     q0 = args.q0 if args.q0 is not None else 1 + p
     if (q0 - 1) % p != 0:
@@ -312,15 +307,12 @@ def cmd_padic(args: argparse.Namespace) -> int:
         }
         text = json.dumps(payload, indent=2)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["p", "M", "q0", "n", "x0", "N", "S", "val"])
-        for report in reports:
-            for entry in report.entries:
-                writer.writerow([report.p, report.M, report.q0, report.n,
-                                 report.x0, entry.N, str(entry.partial_sum),
-                                 entry.valuation])
-        text = buffer.getvalue()
+        text = _csv_text(
+            ["p", "M", "q0", "n", "x0", "N", "S", "val"],
+            ([report.p, report.M, report.q0, report.n, report.x0, entry.N,
+              str(entry.partial_sum), entry.valuation]
+             for report in reports for entry in report.entries),
+        )
     else:
         lines = []
         for report in reports:

@@ -49,6 +49,9 @@ __all__ = [
 #: -1/q, the Frobenius-Euler parameter that recovers the q-Euler numbers.
 MINUS_Q_INVERSE = RatFunc(PolyQ((-1,)), PolyQ((0, 1)))
 
+#: -q/(1+q), the scale of the solved q-Euler recurrence.
+_MINUS_Q_OVER_ONE_PLUS_Q = RatFunc(PolyQ((0, -1)), PolyQ((1, 1)))
+
 
 class IndexCapError(ValueError):
     """An index above the cap of the EulerCache asked for it."""
@@ -68,9 +71,9 @@ class EulerCache:
             raise ValueError("n_max must be nonnegative")
         self.n_max = n_max
         self._lock = threading.Lock()
-        self._numbers: list[RatFunc] = []
+        self._numbers: list[RatFunc] = [RatFunc(2, PolyQ((1, 1)))]
         self._numbers_inv: list[RatFunc] = []
-        self._classical: list[Fraction] = []
+        self._classical: list[Fraction] = [Fraction(1)]
         self._frobenius: dict[RatFunc, list[RatFunc]] = {}
 
     def _check_index(self, n: int) -> None:
@@ -85,17 +88,7 @@ class EulerCache:
     def number(self, n: int) -> RatFunc:
         self._check_index(n)
         with self._lock:
-            numbers = self._numbers
-            if not numbers:
-                numbers.append(RatFunc(2, PolyQ((1, 1))))
-            scale = RatFunc(PolyQ((0, -1)), PolyQ((1, 1)))  # -q/(1+q)
-            while len(numbers) <= n:
-                m = len(numbers)
-                acc = RatFunc(0)
-                for l in range(m):
-                    acc = acc + binomial(m, l) * numbers[l]
-                numbers.append(scale * acc)
-            return numbers[n]
+            return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q)
 
     def number_inverse(self, n: int) -> RatFunc:
         """E_n(1/q), the image of the n-th q-Euler number under q -> 1/q."""
@@ -109,16 +102,7 @@ class EulerCache:
     def classical(self, n: int) -> Fraction:
         self._check_index(n)
         with self._lock:
-            values = self._classical
-            if not values:
-                values.append(Fraction(1))
-            while len(values) <= n:
-                m = len(values)
-                acc = Fraction(0)
-                for l in range(m):
-                    acc += binomial(m, l) * values[l]
-                values.append(-acc / 2)
-            return values[n]
+            return _convolve_up_to(self._classical, n, Fraction(-1, 2))
 
     def frobenius(self, n: int, u: RatFunc) -> RatFunc:
         self._check_index(n)
@@ -127,14 +111,19 @@ class EulerCache:
             raise ValueError("u = 1 is a pole of the Frobenius-Euler family")
         with self._lock:
             values = self._frobenius.setdefault(u, [RatFunc(1)])
-            scale = 1 / (u - 1)
-            while len(values) <= n:
-                m = len(values)
-                acc = RatFunc(0)
-                for l in range(m):
-                    acc = acc + binomial(m, l) * values[l]
-                values.append(scale * acc)
-            return values[n]
+            return _convolve_up_to(values, n, 1 / (u - 1))
+
+
+def _convolve_up_to(values: list, n: int, scale: object) -> object:
+    """Extend the seeded list to index n by the solved umbral relation
+    v_m = scale * sum_{l<m} C(m,l) v_l, and return v_n."""
+    while len(values) <= n:
+        m = len(values)
+        acc = values[0]
+        for l in range(1, m):
+            acc = acc + binomial(m, l) * values[l]
+        values.append(scale * acc)
+    return values[n]
 
 
 _DEFAULT_CACHE = EulerCache()
@@ -180,24 +169,32 @@ def classical_euler_number(n: int, cache: EulerCache | None = None) -> Fraction:
     return _cache(cache).classical(n)
 
 
-def table_rows(n_max: int, cache: EulerCache | None = None) -> list[dict]:
-    """Rows {n, e_nq, e_at_q1, frobenius} for n = 0 .. n_max, JSON-ready.
-
-    e_nq is E_n(q), e_at_q1 its value at q = 1, and frobenius is
-    H_n(-1/q); all exact, serialized with decimal strings.
-    """
+def _table_values(
+    n_max: int, cache: EulerCache | None = None
+) -> list[tuple[int, RatFunc, Fraction, RatFunc]]:
+    """(n, E_n(q), E_n(1), H_n(-1/q)) for n = 0 .. n_max, exact."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     store = _cache(cache)
     rows = []
     for n in range(n_max + 1):
         e = store.number(n)
-        rows.append(
-            {
-                "n": n,
-                "e_nq": e.to_json(),
-                "e_at_q1": rational_to_json(e(1)),
-                "frobenius": store.frobenius(n, MINUS_Q_INVERSE).to_json(),
-            }
-        )
+        rows.append((n, e, e(1), store.frobenius(n, MINUS_Q_INVERSE)))
     return rows
+
+
+def table_rows(n_max: int, cache: EulerCache | None = None) -> list[dict]:
+    """Rows {n, e_nq, e_at_q1, frobenius} for n = 0 .. n_max, JSON-ready.
+
+    e_nq is E_n(q), e_at_q1 its value at q = 1, and frobenius is
+    H_n(-1/q); all exact, serialized with decimal strings.
+    """
+    return [
+        {
+            "n": n,
+            "e_nq": e.to_json(),
+            "e_at_q1": rational_to_json(classical),
+            "frobenius": frobenius.to_json(),
+        }
+        for n, e, classical, frobenius in _table_values(n_max, cache)
+    ]

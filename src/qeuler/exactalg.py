@@ -88,21 +88,73 @@ def _fraction_latex(c: Fraction) -> str:
     return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-class PolyQ:
+class _Exact:
+    """Operators PolyQ, RatFunc and XPoly share, written once.
+
+    Each subclass names its coercion in ``_coerce`` (a scalar or a
+    smaller kind in, its own kind or None out) and defines ``is_zero``,
+    ``+``, ``*`` and negation; truth, subtraction and powers follow from
+    those.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __sub__(self, other: object):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: object):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        """Square and multiply, for n >= 0."""
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+def _as_poly_or_none(value: object) -> PolyQ | None:
+    if isinstance(value, PolyQ):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _poly([value.numerator], value.denominator)
+    return None
+
+
+class PolyQ(_Exact):
     """Dense polynomial in q over Q.  See the module docstring for layout."""
 
     __slots__ = ("_ints", "_den")
 
     _ints: tuple[int, ...]
     _den: int
+    _coerce = staticmethod(_as_poly_or_none)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = math.lcm(1, *(c.denominator for c in cs))
         _store(self, [c.numerator * (den // c.denominator) for c in cs], den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyQ is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -130,9 +182,6 @@ class PolyQ:
         if not self._ints:
             raise ValueError("the zero polynomial has no leading coefficient")
         return Fraction(self._ints[-1], self._den)
-
-    def __bool__(self) -> bool:
-        return bool(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyQ):
@@ -168,18 +217,6 @@ class PolyQ:
     def __neg__(self) -> "PolyQ":
         return _poly([-c for c in self._ints], self._den)
 
-    def __sub__(self, other: object) -> "PolyQ":
-        other = _as_poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: object) -> "PolyQ":
-        other = _as_poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other: object) -> "PolyQ":
         if isinstance(other, (int, Fraction)):
             num, den = other.numerator, other.denominator
@@ -202,18 +239,6 @@ class PolyQ:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
-
-    def __pow__(self, n: int) -> "PolyQ":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyQ((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if not isinstance(other, PolyQ):
@@ -267,27 +292,19 @@ class PolyQ:
         return cls(tuple(rational_from_json(c) for c in obj))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        coeffs = self.coeffs
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = _fraction_str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{_fraction_str(mag)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return self._render(_fraction_str, lambda i: "q" if i == 1 else f"q^{i}", "*")
 
     def latex(self, var: str = "q") -> str:
+        return self._render(
+            _fraction_latex, lambda i: var if i == 1 else f"{var}^{{{i}}}", " "
+        )
+
+    def _render(self, scalar, power, times: str) -> str:
+        """Nonzero terms from the top degree down, each sign pulled out front.
+
+        ``scalar`` renders a positive coefficient, ``power(i)`` the
+        monomial q^i for i >= 1, and ``times`` joins the two.
+        """
         if self.is_zero:
             return "0"
         coeffs = self.coeffs
@@ -298,18 +315,14 @@ class PolyQ:
                 continue
             mag = abs(c)
             if i == 0:
-                body = _fraction_latex(mag)
+                body = scalar(mag)
             else:
-                power = var if i == 1 else f"{var}^{{{i}}}"
-                body = power if mag == 1 else f"{_fraction_latex(mag)} {power}"
+                body = power(i) if mag == 1 else f"{scalar(mag)}{times}{power(i)}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"PolyQ({str(self)!r})"
 
 
 def _store(p: PolyQ, ints: list[int], den: int) -> PolyQ:
@@ -388,14 +401,6 @@ def _exact_quotient(u: Sequence[int], v: Sequence[int]) -> list[int]:
     return quo
 
 
-def _as_poly_or_none(value: object) -> PolyQ | None:
-    if isinstance(value, PolyQ):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return _poly([value.numerator], value.denominator)
-    return None
-
-
 def _as_poly(value: object) -> PolyQ:
     poly = _as_poly_or_none(value)
     if poly is None:
@@ -425,13 +430,22 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return _monic(list(v))
 
 
-class RatFunc:
+def _as_ratfunc_or_none(value: object) -> RatFunc | None:
+    if isinstance(value, RatFunc):
+        return value
+    if isinstance(value, (int, Fraction, PolyQ)):
+        return RatFunc(value)
+    return None
+
+
+class RatFunc(_Exact):
     """Element of Q(q) in canonical form (coprime parts, monic denominator)."""
 
     __slots__ = ("num", "den")
 
     num: PolyQ
     den: PolyQ
+    _coerce = staticmethod(_as_ratfunc_or_none)
 
     def __init__(self, num: object = 0, den: object = 1):
         if isinstance(num, RatFunc) or isinstance(den, RatFunc):
@@ -463,9 +477,6 @@ class RatFunc:
         object.__setattr__(self, "num", _poly([c * scale for c in nu], n._den * abs(lead)))
         object.__setattr__(self, "den", _monic(list(du)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RatFunc is immutable")
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -479,9 +490,6 @@ class RatFunc:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
         return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
         other = _as_ratfunc_or_none(other)
@@ -505,18 +513,6 @@ class RatFunc:
         object.__setattr__(out, "num", -self.num)
         object.__setattr__(out, "den", self.den)
         return out
-
-    def __sub__(self, other: object) -> "RatFunc":
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: object) -> "RatFunc":
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: object) -> "RatFunc":
         other = _as_ratfunc_or_none(other)
@@ -593,17 +589,6 @@ class RatFunc:
             return self.num.latex()
         return rf"\frac{{{self.num.latex()}}}{{{self.den.latex()}}}"
 
-    def __repr__(self) -> str:
-        return f"RatFunc({str(self)!r})"
-
-
-def _as_ratfunc_or_none(value: object) -> RatFunc | None:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, (int, Fraction, PolyQ)):
-        return RatFunc(value)
-    return None
-
 
 def _as_ratfunc(value: object) -> RatFunc:
     rf = _as_ratfunc_or_none(value)
@@ -612,21 +597,28 @@ def _as_ratfunc(value: object) -> RatFunc:
     return rf
 
 
-class XPoly:
+def _as_xpoly_or_none(value: object) -> XPoly | None:
+    if isinstance(value, XPoly):
+        return value
+    scalar = _as_ratfunc_or_none(value)
+    if scalar is not None:
+        return XPoly((scalar,))
+    return None
+
+
+class XPoly(_Exact):
     """Dense polynomial in x with RatFunc coefficients."""
 
     __slots__ = ("coeffs",)
 
     coeffs: tuple[RatFunc, ...]
+    _coerce = staticmethod(_as_xpoly_or_none)
 
     def __init__(self, coeffs: Iterable[object] = ()):
         cs = [c if isinstance(c, RatFunc) else _as_ratfunc(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("XPoly is immutable")
 
     @classmethod
     def monomial(cls, degree: int, coeff: object = 1) -> "XPoly":
@@ -647,9 +639,6 @@ class XPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return RatFunc(0)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
         other = _as_xpoly_or_none(other)
@@ -677,18 +666,6 @@ class XPoly:
     def __neg__(self) -> "XPoly":
         return XPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: object) -> "XPoly":
-        other = _as_xpoly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: object) -> "XPoly":
-        other = _as_xpoly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other: object) -> "XPoly":
         scalar = _as_ratfunc_or_none(other)
         if scalar is not None:
@@ -708,18 +685,6 @@ class XPoly:
         return XPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = XPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, point: object) -> RatFunc:
         """Evaluate by Horner's rule; the point may be any Q(q) element."""
@@ -763,18 +728,6 @@ class XPoly:
                 body = var if c == RatFunc(1) else f"({c})*{var}"
             parts.append(body)
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPoly({str(self)!r})"
-
-
-def _as_xpoly_or_none(value: object) -> XPoly | None:
-    if isinstance(value, XPoly):
-        return value
-    scalar = _as_ratfunc_or_none(value)
-    if scalar is not None:
-        return XPoly((scalar,))
-    return None
 
 
 #: The generator q of Q(q).

@@ -25,11 +25,17 @@ asserts.
 ``run_suite`` enumerates each selected identity over its parameter
 bounds.  Tuples violating an identity's side condition are counted as
 skipped (never failed) and are additionally re-evaluated into an
-"exploratory" bucket that is reported but never asserted.  For the
-piecewise identities, the k = 0 cases also record informationally
-whether the general k > 0 formula would have produced the same value
-(it does not, in general).  Cross-checks between identities (tags
-xcheck_*) run when every identity they relate is selected.
+"exploratory" bucket that is reported but never asserted.
+
+Six identities (thm4, cor5, thm6, cor7, thm8, cor9) have a closed form
+in two pieces, split on their last parameter k.  Their registry entry
+carries both as data: ``rhs`` is the k > 0 formula and ``rhs_k0`` the
+k = 0 one, each transcribed on its own, and ``Identity.closed_form``
+picks between them.  Every caller that wants the closed form goes
+through it.  The k = 0 cases also record informationally whether the
+general k > 0 formula would have produced the same value (it does not,
+in general).  Cross-checks between identities (tags xcheck_*) run when
+every identity they relate is selected.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .euler import (
     euler_poly_q,
     frobenius_euler,
 )
-from .exactalg import RatFunc, XPoly, binomial, q, rational_to_json, x
+from .exactalg import RatFunc, XPoly, binomial, q, rational_to_json
 
 __all__ = [
     "SideConditionError",
@@ -154,21 +160,29 @@ class Identity:
     ``bounds`` lists (bound name, CLI flag it answers to, default value);
     ``enumerate_params`` yields the raw grid for given bounds, including
     tuples that violate the side condition (the caller skips those).
-    ``alt_branch``, when set, evaluates the k > 0 closed form at a k = 0
-    tuple for the informational branch comparison.
+    ``lhs`` and ``rhs`` return a RatFunc or an XPoly.  For the piecewise
+    identities ``rhs`` is the k > 0 closed form and ``rhs_k0`` the one
+    at k = 0 (k is the last parameter); ``closed_form`` picks between
+    them, and ``run_suite`` also evaluates ``rhs`` at k = 0 for the
+    informational branch notes.
     """
 
     tag: str
-    kind: str  # "ratfunc" or "xpoly"
     description: str
     arity: int  # minimum tuple length; variadic when variadic=True
-    variadic: bool
     bounds: tuple[tuple[str, str, int], ...]
-    admissible: Callable[[Params], bool]
     lhs: Callable[[Params, EulerCache | None], object]
     rhs: Callable[[Params, EulerCache | None], object]
     enumerate_params: Callable[[Bounds], Iterator[Params]]
-    alt_branch: Callable[[Params, EulerCache | None], object] | None = None
+    variadic: bool = False
+    admissible: Callable[[Params], bool] = lambda params: True
+    rhs_k0: Callable[[Params, EulerCache | None], object] | None = None
+
+    def closed_form(self, params: Params, cache: EulerCache | None) -> object:
+        """The closed form at params: ``rhs_k0`` when set and k = 0, else ``rhs``."""
+        if self.rhs_k0 is not None and params[-1] == 0:
+            return self.rhs_k0(params, cache)
+        return self.rhs(params, cache)
 
 
 def _check_params(identity: Identity, params: Params) -> Params:
@@ -338,23 +352,17 @@ def _thm4_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     return moment_reduce(IntegrandExpr(-1, 1, bernstein_basis(k, n)), cache)
 
 
-def _thm4_rhs_general(n: int, k: int, cache: EulerCache | None) -> RatFunc:
+def _thm4_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, k = params
     acc = RatFunc(0)
     for j in range(k + 1):
         acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j, cache)
     return binomial(n, k) * acc
 
 
-def _thm4_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, k = params
-    if k == 0:
-        return 2 * q + euler_number_q(n, cache)
-    return _thm4_rhs_general(n, k, cache)
-
-
-def _thm4_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, k = params
-    return _thm4_rhs_general(n, k, cache)
+def _thm4_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, _ = params
+    return 2 * q + euler_number_q(n, cache)
 
 
 # cor5: the q -> 1/q image of eq14 against thm4, piecewise in k, for n > k
@@ -369,23 +377,17 @@ def _cor5_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     return acc
 
 
-def _cor5_rhs_general(n: int, k: int, cache: EulerCache | None) -> RatFunc:
+def _cor5_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, k = params
     acc = RatFunc(0)
     for j in range(k + 1):
         acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j, cache)
     return (1 / q) * acc
 
 
-def _cor5_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, k = params
-    if k == 0:
-        return 2 + (1 / q) * euler_number_q(n, cache)
-    return _cor5_rhs_general(n, k, cache)
-
-
-def _cor5_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, k = params
-    return _cor5_rhs_general(n, k, cache)
+def _cor5_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, _ = params
+    return 2 + (1 / q) * euler_number_q(n, cache)
 
 
 # thm6: integral of q^(1-x) B_{k,n} B_{k,m}, piecewise in k, for n + m > 2k
@@ -397,7 +399,8 @@ def _thm6_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     )
 
 
-def _thm6_rhs_general(n: int, m: int, k: int, cache: EulerCache | None) -> RatFunc:
+def _thm6_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, m, k = params
     acc = RatFunc(0)
     for j in range(2 * k + 1):
         acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(
@@ -406,16 +409,9 @@ def _thm6_rhs_general(n: int, m: int, k: int, cache: EulerCache | None) -> RatFu
     return binomial(n, k) * binomial(m, k) * acc
 
 
-def _thm6_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, m, k = params
-    if k == 0:
-        return 2 * q + euler_number_q(n + m, cache)
-    return _thm6_rhs_general(n, m, k, cache)
-
-
-def _thm6_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, m, k = params
-    return _thm6_rhs_general(n, m, k, cache)
+def _thm6_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, m, _ = params
+    return 2 * q + euler_number_q(n + m, cache)
 
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
@@ -430,7 +426,8 @@ def _cor7_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     return acc
 
 
-def _cor7_rhs_general(n: int, m: int, k: int, cache: EulerCache | None) -> RatFunc:
+def _cor7_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, m, k = params
     acc = RatFunc(0)
     for j in range(2 * k + 1):
         acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(
@@ -439,16 +436,9 @@ def _cor7_rhs_general(n: int, m: int, k: int, cache: EulerCache | None) -> RatFu
     return (1 / q) * acc
 
 
-def _cor7_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, m, k = params
-    if k == 0:
-        return 2 + (1 / q) * euler_number_q(n + m, cache)
-    return _cor7_rhs_general(n, m, k, cache)
-
-
-def _cor7_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    n, m, k = params
-    return _cor7_rhs_general(n, m, k, cache)
+def _cor7_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    n, m, _ = params
+    return 2 + (1 / q) * euler_number_q(n + m, cache)
 
 
 # thm8: integral of q^(1-x) * product of s Bernstein factors, sum n_i > s k
@@ -462,9 +452,8 @@ def _thm8_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     return moment_reduce(IntegrandExpr(-1, 1, _basis_product(ns, k)), cache)
 
 
-def _thm8_rhs_general(
-    ns: Sequence[int], k: int, cache: EulerCache | None
-) -> RatFunc:
+def _thm8_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
     acc = RatFunc(0)
@@ -478,16 +467,9 @@ def _thm8_rhs_general(
     return lead * acc
 
 
-def _thm8_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    ns, k = _thm8_split(params)
-    if k == 0:
-        return 2 * q + euler_number_q(sum(ns), cache)
-    return _thm8_rhs_general(ns, k, cache)
-
-
-def _thm8_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    ns, k = _thm8_split(params)
-    return _thm8_rhs_general(ns, k, cache)
+def _thm8_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    ns, _ = _thm8_split(params)
+    return 2 * q + euler_number_q(sum(ns), cache)
 
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
@@ -504,9 +486,8 @@ def _cor9_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
     return acc
 
 
-def _cor9_rhs_general(
-    ns: Sequence[int], k: int, cache: EulerCache | None
-) -> RatFunc:
+def _cor9_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+    ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
     acc = RatFunc(0)
@@ -517,262 +498,199 @@ def _cor9_rhs_general(
     return (1 / q) * acc
 
 
-def _cor9_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
-    ns, k = _thm8_split(params)
-    if k == 0:
-        return 2 + (1 / q) * euler_number_q(sum(ns), cache)
-    return _cor9_rhs_general(ns, k, cache)
-
-
-def _cor9_alt(params: Params, cache: EulerCache | None) -> RatFunc:
-    ns, k = _thm8_split(params)
-    return _cor9_rhs_general(ns, k, cache)
-
-
-def _always(params: Params) -> bool:
-    return True
+def _cor9_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+    ns, _ = _thm8_split(params)
+    return 2 + (1 / q) * euler_number_q(sum(ns), cache)
 
 
 REGISTRY: dict[str, Identity] = {}
 
 
-def _register(identity: Identity) -> None:
+def _register(**fields) -> None:
+    identity = Identity(**fields)
     REGISTRY[identity.tag] = identity
 
 
 _register(
-    Identity(
-        tag="eq2_symbolic",
-        kind="ratfunc",
-        description=(
-            "shifting q^x x^m by nshift: the shifted integral equals "
-            "(-1)^nshift times the plain one plus twice the alternating "
-            "boundary sum of q^l l^m"
-        ),
-        arity=2,
-        variadic=False,
-        bounds=(("m", "m", 6), ("nshift", "n", 4)),
-        admissible=lambda p: p[1] >= 1,
-        lhs=_eq2_lhs,
-        rhs=_eq2_rhs,
-        enumerate_params=_enum_eq2,
-    )
+    tag="eq2_symbolic",
+    description=(
+        "shifting q^x x^m by nshift: the shifted integral equals "
+        "(-1)^nshift times the plain one plus twice the alternating "
+        "boundary sum of q^l l^m"
+    ),
+    arity=2,
+    bounds=(("m", "m", 6), ("nshift", "n", 4)),
+    admissible=lambda p: p[1] >= 1,
+    lhs=_eq2_lhs,
+    rhs=_eq2_rhs,
+    enumerate_params=_enum_eq2,
 )
 
 _register(
-    Identity(
-        tag="eq9_frobenius",
-        kind="ratfunc",
-        description="E_n(q) = (2/(1+q)) H_n(-1/q)",
-        arity=1,
-        variadic=False,
-        bounds=(("n", "n", 10),),
-        admissible=_always,
-        lhs=_eq9_lhs,
-        rhs=_eq9_rhs,
-        enumerate_params=_enum_single_n,
-    )
+    tag="eq9_frobenius",
+    description="E_n(q) = (2/(1+q)) H_n(-1/q)",
+    arity=1,
+    bounds=(("n", "n", 10),),
+    lhs=_eq9_lhs,
+    rhs=_eq9_rhs,
+    enumerate_params=_enum_single_n,
 )
 
 _register(
-    Identity(
-        tag="thm1_reflection",
-        kind="xpoly",
-        description="(-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise in x",
-        arity=1,
-        variadic=False,
-        bounds=(("n", "n", 8),),
-        admissible=_always,
-        lhs=_thm1_lhs,
-        rhs=_thm1_rhs,
-        enumerate_params=_enum_single_n,
-    )
+    tag="thm1_reflection",
+    description="(-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise in x",
+    arity=1,
+    bounds=(("n", "n", 8),),
+    lhs=_thm1_lhs,
+    rhs=_thm1_rhs,
+    enumerate_params=_enum_single_n,
 )
 
 _register(
-    Identity(
-        tag="thm2_value_at_two",
-        kind="ratfunc",
-        description="q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1",
-        arity=1,
-        variadic=False,
-        bounds=(("n", "n", 8),),
-        admissible=lambda p: p[0] >= 1,
-        lhs=_thm2_lhs,
-        rhs=_thm2_rhs,
-        enumerate_params=_enum_single_n,
-    )
+    tag="thm2_value_at_two",
+    description="q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1",
+    arity=1,
+    bounds=(("n", "n", 8),),
+    admissible=lambda p: p[0] >= 1,
+    lhs=_thm2_lhs,
+    rhs=_thm2_rhs,
+    enumerate_params=_enum_single_n,
 )
 
 _register(
-    Identity(
-        tag="thm3_integral",
-        kind="ratfunc",
-        description=(
-            "integral of q^-x (1-x)^n equals 2 + (1/q) integral of q^x x^n "
-            "for n >= 1"
-        ),
-        arity=1,
-        variadic=False,
-        bounds=(("n", "n", 8),),
-        admissible=lambda p: p[0] >= 1,
-        lhs=_thm3_lhs,
-        rhs=_thm3_rhs,
-        enumerate_params=_enum_single_n,
-    )
+    tag="thm3_integral",
+    description=(
+        "integral of q^-x (1-x)^n equals 2 + (1/q) integral of q^x x^n "
+        "for n >= 1"
+    ),
+    arity=1,
+    bounds=(("n", "n", 8),),
+    admissible=lambda p: p[0] >= 1,
+    lhs=_thm3_lhs,
+    rhs=_thm3_rhs,
+    enumerate_params=_enum_single_n,
 )
 
 _register(
-    Identity(
-        tag="eq14_bernstein_moment",
-        kind="ratfunc",
-        description=(
-            "integral of q^x B_{k,n} equals C(n,k) times the alternating "
-            "sum of E_{k+j}(q), j up to n-k"
-        ),
-        arity=2,
-        variadic=False,
-        bounds=(("n", "n", 8), ("k", "k", 8)),
-        admissible=lambda p: p[1] < p[0],
-        lhs=_eq14_lhs,
-        rhs=_eq14_rhs,
-        enumerate_params=_enum_pairs_k_up_to_n,
-    )
+    tag="eq14_bernstein_moment",
+    description=(
+        "integral of q^x B_{k,n} equals C(n,k) times the alternating "
+        "sum of E_{k+j}(q), j up to n-k"
+    ),
+    arity=2,
+    bounds=(("n", "n", 8), ("k", "k", 8)),
+    admissible=lambda p: p[1] < p[0],
+    lhs=_eq14_lhs,
+    rhs=_eq14_rhs,
+    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
-    Identity(
-        tag="eq15_symmetry",
-        kind="xpoly",
-        description="B_{k,n}(x) = B_{n-k,n}(1-x)",
-        arity=2,
-        variadic=False,
-        bounds=(("n", "n", 10), ("k", "k", 10)),
-        admissible=_always,
-        lhs=_eq15_lhs,
-        rhs=_eq15_rhs,
-        enumerate_params=_enum_pairs_k_up_to_n,
-    )
+    tag="eq15_symmetry",
+    description="B_{k,n}(x) = B_{n-k,n}(1-x)",
+    arity=2,
+    bounds=(("n", "n", 10), ("k", "k", 10)),
+    lhs=_eq15_lhs,
+    rhs=_eq15_rhs,
+    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
-    Identity(
-        tag="thm4",
-        kind="ratfunc",
-        description=(
-            "integral of q^(1-x) B_{k,n} for n > k: 2q + E_n(q) when k = 0, "
-            "else C(n,k) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
-        ),
-        arity=2,
-        variadic=False,
-        bounds=(("n", "n", 8), ("k", "k", 8)),
-        admissible=lambda p: p[1] < p[0],
-        lhs=_thm4_lhs,
-        rhs=_thm4_rhs,
-        enumerate_params=_enum_pairs_k_up_to_n,
-        alt_branch=_thm4_alt,
-    )
+    tag="thm4",
+    description=(
+        "integral of q^(1-x) B_{k,n} for n > k: 2q + E_n(q) when k = 0, "
+        "else C(n,k) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
+    ),
+    arity=2,
+    bounds=(("n", "n", 8), ("k", "k", 8)),
+    admissible=lambda p: p[1] < p[0],
+    lhs=_thm4_lhs,
+    rhs=_thm4_rhs,
+    rhs_k0=_thm4_rhs_k0,
+    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
-    Identity(
-        tag="cor5",
-        kind="ratfunc",
-        description=(
-            "sum_j C(n-k,j) (-1)^j E_{k+j}(1/q) for n > k: 2 + (1/q) E_n(q) "
-            "when k = 0, else (1/q) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
-        ),
-        arity=2,
-        variadic=False,
-        bounds=(("n", "n", 8), ("k", "k", 8)),
-        admissible=lambda p: p[1] < p[0],
-        lhs=_cor5_lhs,
-        rhs=_cor5_rhs,
-        enumerate_params=_enum_pairs_k_up_to_n,
-        alt_branch=_cor5_alt,
-    )
+    tag="cor5",
+    description=(
+        "sum_j C(n-k,j) (-1)^j E_{k+j}(1/q) for n > k: 2 + (1/q) E_n(q) "
+        "when k = 0, else (1/q) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
+    ),
+    arity=2,
+    bounds=(("n", "n", 8), ("k", "k", 8)),
+    admissible=lambda p: p[1] < p[0],
+    lhs=_cor5_lhs,
+    rhs=_cor5_rhs,
+    rhs_k0=_cor5_rhs_k0,
+    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
-    Identity(
-        tag="thm6",
-        kind="ratfunc",
-        description=(
-            "integral of q^(1-x) B_{k,n} B_{k,m} for n + m > 2k: "
-            "2q + E_{n+m}(q) when k = 0, else C(n,k) C(m,k) "
-            "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
-        ),
-        arity=3,
-        variadic=False,
-        bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
-        admissible=lambda p: p[0] + p[1] > 2 * p[2],
-        lhs=_thm6_lhs,
-        rhs=_thm6_rhs,
-        enumerate_params=_enum_two_degrees,
-        alt_branch=_thm6_alt,
-    )
+    tag="thm6",
+    description=(
+        "integral of q^(1-x) B_{k,n} B_{k,m} for n + m > 2k: "
+        "2q + E_{n+m}(q) when k = 0, else C(n,k) C(m,k) "
+        "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
+    ),
+    arity=3,
+    bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
+    admissible=lambda p: p[0] + p[1] > 2 * p[2],
+    lhs=_thm6_lhs,
+    rhs=_thm6_rhs,
+    rhs_k0=_thm6_rhs_k0,
+    enumerate_params=_enum_two_degrees,
 )
 
 _register(
-    Identity(
-        tag="cor7",
-        kind="ratfunc",
-        description=(
-            "sum_j C(n+m-2k,j) (-1)^j E_{j+2k}(1/q) for n + m > 2k: "
-            "2 + (1/q) E_{n+m}(q) when k = 0, else (1/q) "
-            "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
-        ),
-        arity=3,
-        variadic=False,
-        bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
-        admissible=lambda p: p[0] + p[1] > 2 * p[2],
-        lhs=_cor7_lhs,
-        rhs=_cor7_rhs,
-        enumerate_params=_enum_two_degrees,
-        alt_branch=_cor7_alt,
-    )
+    tag="cor7",
+    description=(
+        "sum_j C(n+m-2k,j) (-1)^j E_{j+2k}(1/q) for n + m > 2k: "
+        "2 + (1/q) E_{n+m}(q) when k = 0, else (1/q) "
+        "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
+    ),
+    arity=3,
+    bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
+    admissible=lambda p: p[0] + p[1] > 2 * p[2],
+    lhs=_cor7_lhs,
+    rhs=_cor7_rhs,
+    rhs_k0=_cor7_rhs_k0,
+    enumerate_params=_enum_two_degrees,
 )
 
 _register(
-    Identity(
-        tag="thm8",
-        kind="ratfunc",
-        description=(
-            "integral of q^(1-x) times a product of s Bernstein factors "
-            "B_{k,n_i} for sum n_i > s k: 2q + E_sum(q) when k = 0, else "
-            "(prod C(n_i,k)) sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); "
-            "params are (n_1, ..., n_s, k)"
-        ),
-        arity=2,
-        variadic=True,
-        bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
-        admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-        lhs=_thm8_lhs,
-        rhs=_thm8_rhs,
-        enumerate_params=_enum_multi_degrees,
-        alt_branch=_thm8_alt,
-    )
+    tag="thm8",
+    description=(
+        "integral of q^(1-x) times a product of s Bernstein factors "
+        "B_{k,n_i} for sum n_i > s k: 2q + E_sum(q) when k = 0, else "
+        "(prod C(n_i,k)) sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); "
+        "params are (n_1, ..., n_s, k)"
+    ),
+    arity=2,
+    variadic=True,
+    bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
+    admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
+    lhs=_thm8_lhs,
+    rhs=_thm8_rhs,
+    rhs_k0=_thm8_rhs_k0,
+    enumerate_params=_enum_multi_degrees,
 )
 
 _register(
-    Identity(
-        tag="cor9",
-        kind="ratfunc",
-        description=(
-            "sum_j C(sum-sk,j) (-1)^j E_{j+sk}(1/q) for sum n_i > s k: "
-            "2 + (1/q) E_sum(q) when k = 0, else (1/q) "
-            "sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); params are "
-            "(n_1, ..., n_s, k)"
-        ),
-        arity=2,
-        variadic=True,
-        bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
-        admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-        lhs=_cor9_lhs,
-        rhs=_cor9_rhs,
-        enumerate_params=_enum_multi_degrees,
-        alt_branch=_cor9_alt,
-    )
+    tag="cor9",
+    description=(
+        "sum_j C(sum-sk,j) (-1)^j E_{j+sk}(1/q) for sum n_i > s k: "
+        "2 + (1/q) E_sum(q) when k = 0, else (1/q) "
+        "sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); params are "
+        "(n_1, ..., n_s, k)"
+    ),
+    arity=2,
+    variadic=True,
+    bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
+    admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
+    lhs=_cor9_lhs,
+    rhs=_cor9_rhs,
+    rhs_k0=_cor9_rhs_k0,
+    enumerate_params=_enum_multi_degrees,
 )
 
 
@@ -791,10 +709,9 @@ def verify_identity(
     if not identity.admissible(params):
         raise SideConditionError(f"{tag} side condition fails at {params}")
     lhs = identity.lhs(params, cache)
-    rhs = identity.rhs(params, cache)
+    rhs = identity.closed_form(params, cache)
     difference = lhs - rhs
-    equal = difference == (XPoly() if identity.kind == "xpoly" else RatFunc(0))
-    return VerificationResult(tag, params, lhs, rhs, equal, difference)
+    return VerificationResult(tag, params, lhs, rhs, difference.is_zero, difference)
 
 
 @dataclass(frozen=True)
@@ -909,7 +826,7 @@ def _exploratory_eval(
 ) -> ExploratoryRecord:
     try:
         lhs = identity.lhs(params, cache)
-        rhs = identity.rhs(params, cache)
+        rhs = identity.closed_form(params, cache)
     except Exception as exc:  # genuinely unevaluable outside the hypothesis
         return ExploratoryRecord(identity.tag, params, False, None, str(exc))
     return ExploratoryRecord(identity.tag, params, True, lhs == rhs)
@@ -943,10 +860,10 @@ def run_suite(
             if identity.admissible(params):
                 result = verify_identity(tag, params, cache)
                 report.record(result)
-                if identity.alt_branch is not None and params[-1] == 0:
-                    alt = identity.alt_branch(params, cache)
+                if identity.rhs_k0 is not None and params[-1] == 0:
+                    general = identity.rhs(params, cache)
                     report.branch_notes.append(
-                        BranchNote(tag, params, alt == result.rhs)
+                        BranchNote(tag, params, general == result.rhs)
                     )
             else:
                 report.skipped += 1
@@ -968,11 +885,6 @@ def _first_nonzero(*diffs: RatFunc) -> tuple[bool, RatFunc]:
         if not d.is_zero:
             return False, d
     return True, RatFunc(0)
-
-
-def _xpoly_pair_diff(a: XPoly, b: XPoly) -> tuple[bool, XPoly]:
-    d = a - b
-    return d.is_zero, d
 
 
 def reflection_chain(n: int, cache: EulerCache | None = None) -> tuple[RatFunc, ...]:
@@ -1010,7 +922,7 @@ def _cross_check_results(
             if not k < n:
                 continue
             swapped = q * _eq14_rhs((n, k), cache).invert_q()
-            target = _thm4_rhs((n, k), cache)
+            target = REGISTRY["thm4"].closed_form((n, k), cache)
             diff = swapped - target
             yield VerificationResult(
                 "xcheck_eq14_thm4_swap", (n, k), swapped, target, diff.is_zero, diff
@@ -1037,8 +949,8 @@ def _cross_check_results(
         )
         for params in grid:
             lhs_multi = multi.lhs(params, cache)
-            rhs_multi = multi.rhs(params, cache)
+            rhs_multi = multi.closed_form(params, cache)
             lhs_base = base.lhs(params, cache)
-            rhs_base = base.rhs(params, cache)
+            rhs_base = base.closed_form(params, cache)
             equal, diff = _first_nonzero(lhs_multi - lhs_base, rhs_multi - rhs_base)
             yield VerificationResult(xtag, params, rhs_multi, rhs_base, equal, diff)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .euler import EulerCache, euler_poly_q
 from .identities import VerificationResult
@@ -77,12 +77,41 @@ class NonUnitError(ValueError):
     """A denominator divisible by p cannot be inverted mod p^M."""
 
 
+#: The first 13 primes.  No composite below _PRIMALITY_BOUND is a strong
+#: pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes
+#: to twelve prime bases", Math. Comp. 86 (2017)), so Miller-Rabin on
+#: these bases decides primality exactly below the bound.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
-    """Trial-division primality, restricted to odd primes."""
+    """Deterministic Miller-Rabin primality, restricted to odd primes.
+
+    Exact for p < _PRIMALITY_BOUND; raises ValueError at or above it.
+    """
+    if p >= _PRIMALITY_BOUND:
+        raise ValueError(
+            f"p={p} is at or above {_PRIMALITY_BOUND}, beyond the exact "
+            "primality test"
+        )
     if p < 3 or p % 2 == 0:
         return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        if a % p == 0:
+            continue
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 

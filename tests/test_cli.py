@@ -115,7 +115,6 @@ def test_verify_latex_summary(capsys):
 def test_verify_reports_failure_with_exit_1(capsys):
     broken = Identity(
         tag="always_wrong",
-        kind="ratfunc",
         description="deliberately false, for the failure path",
         arity=1,
         variadic=False,
@@ -211,6 +210,22 @@ def test_padic_large_prime(capsys):
     assert data["failures"] == []
     assert len(data["reports"]) == 12
     assert all(len(report["rows"]) == 5 for report in data["reports"])
+
+
+def test_padic_large_prime(capsys):
+    # 2^61 - 1 is prime; --p is tested by Miller-Rabin, not trial division.
+    code, out, _ = run(capsys, ["padic", "--p", str(2**61 - 1), "--precision",
+                                "2", "--depth", "2", "--n-max", "1",
+                                "--format", "latex"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 6
+
+
+def test_padic_p_above_the_primality_bound_exits_2(capsys):
+    code, out, err = run(capsys, ["padic", "--p", str(padic._PRIMALITY_BOUND + 2)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_padic_fails_below_the_floor(capsys, monkeypatch):

@@ -1,13 +1,14 @@
 """Tests for residue arithmetic and the truncated fermionic sums."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler.padic import (
+    _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
     NonUnitError,
     PAdic,
@@ -23,6 +24,25 @@ from qeuler.padic import (
 def test_is_odd_prime():
     assert [p for p in range(30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17,
                                                          19, 23, 29]
+
+
+def test_is_odd_prime_agrees_with_trial_division():
+    def trial_division(n):
+        return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+    assert [n for n in range(20000) if is_odd_prime(n) != trial_division(n)] == []
+
+
+def test_is_odd_prime_rejects_pseudoprimes():
+    # 2047 = 23 * 89 is a strong pseudoprime to base 2; 561 and 41041
+    # are Carmichael numbers.
+    assert not any(is_odd_prime(n) for n in (2047, 561, 41041))
+    assert is_odd_prime(2**61 - 1)
+
+
+def test_is_odd_prime_refuses_above_its_bound():
+    with pytest.raises(ValueError):
+        is_odd_prime(_PRIMALITY_BOUND)
 
 
 def test_rational_embedding():
