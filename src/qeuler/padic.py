@@ -143,21 +143,34 @@ class PAdic:
         _check_parameters(self.p, self.M)
         object.__setattr__(self, "residue", self.residue % self.p**self.M)
 
+    @classmethod
+    def _checked(cls, p: int, M: int, residue: int) -> "PAdic":
+        """Build a residue for a (p, M) that has passed _check_parameters.
+
+        Arithmetic and the sums use this, so p is tested for primality
+        by the public entry points only, not again for every residue.
+        """
+        value = object.__new__(cls)
+        object.__setattr__(value, "p", p)
+        object.__setattr__(value, "M", M)
+        object.__setattr__(value, "residue", residue % p**M)
+        return value
+
     def _compatible(self, other: "PAdic") -> None:
         if (self.p, self.M) != (other.p, other.M):
             raise ValueError("mixed p or M in PAdic arithmetic")
 
     def __add__(self, other: "PAdic") -> "PAdic":
         self._compatible(other)
-        return PAdic(self.p, self.M, self.residue + other.residue)
+        return PAdic._checked(self.p, self.M, self.residue + other.residue)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         self._compatible(other)
-        return PAdic(self.p, self.M, self.residue - other.residue)
+        return PAdic._checked(self.p, self.M, self.residue - other.residue)
 
     def __mul__(self, other: "PAdic") -> "PAdic":
         self._compatible(other)
-        return PAdic(self.p, self.M, self.residue * other.residue)
+        return PAdic._checked(self.p, self.M, self.residue * other.residue)
 
     @property
     def is_zero(self) -> bool:
@@ -195,7 +208,7 @@ def padic_from_rational(r: Fraction, p: int, M: int) -> PAdic:
         )
     pm = p**M
     inv = pow(r.denominator, -1, pm)
-    return PAdic(p, M, r.numerator * inv)
+    return PAdic._checked(p, M, r.numerator * inv)
 
 
 def _check_sum(n: int, x0: int, q0: int, p: int, depth: int, M: int) -> None:
@@ -251,7 +264,7 @@ def fermionic_partial_sum(
     """
     _check_sum(n, x0, q0, p, N, M)
     *_, last = _partial_sums(n, x0, q0, p, N, M)
-    return PAdic(p, M, last)
+    return PAdic._checked(p, M, last)
 
 
 @dataclass(frozen=True)
@@ -327,7 +340,9 @@ def witt_convergence_check(
     exact = euler_poly_q(n, cache)(Fraction(x0))(Fraction(q0))
     target = padic_from_rational(exact, p, M)
     entries = tuple(
-        DepthEntry(N, partial, (PAdic(p, M, partial) - target).valuation())
+        DepthEntry(
+            N, partial, (PAdic._checked(p, M, partial) - target).valuation()
+        )
         for N, partial in enumerate(_partial_sums(n, x0, q0, p, N_max, M), 1)
     )
     return ConvergenceReport(p, M, q0, n, x0, target.residue, entries)
@@ -364,9 +379,9 @@ def shift_identity_check_numeric(
         else:
             boundary -= term
     sign = 1 if nshift % 2 == 0 else -1
-    rhs = PAdic(p, M, sign * plain.residue + 2 * boundary)
+    rhs = PAdic._checked(p, M, sign * plain.residue + 2 * boundary)
     # the change of variable y -> y + nshift carries a factor q0^nshift
-    lhs = PAdic(p, M, shifted.residue * pow(q0 % pm, nshift, pm))
+    lhs = PAdic._checked(p, M, shifted.residue * pow(q0 % pm, nshift, pm))
     diff = lhs - rhs
     return VerificationResult(
         identity="eq2_shift_numeric",

@@ -212,7 +212,7 @@ def test_padic_large_prime(capsys):
     assert all(len(report["rows"]) == 5 for report in data["reports"])
 
 
-def test_padic_large_prime(capsys):
+def test_padic_mersenne_61_prime(capsys):
     # 2^61 - 1 is prime; --p is tested by Miller-Rabin, not trial division.
     code, out, _ = run(capsys, ["padic", "--p", str(2**61 - 1), "--precision",
                                 "2", "--depth", "2", "--n-max", "1",

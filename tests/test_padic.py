@@ -70,6 +70,32 @@ def test_padic_arithmetic():
         a + PAdic(3, 3, 1)
 
 
+def test_padic_constructor_checks_p_and_M():
+    with pytest.raises(ValueError):
+        PAdic(9, 2, 1)
+    with pytest.raises(ValueError):
+        PAdic(3, 0, 1)
+
+
+def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
+    import qeuler.padic as padic
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_odd_prime(p)
+
+    monkeypatch.setattr(padic, "is_odd_prime", counting)
+    counts = []
+    for N_max in (2, 8):
+        calls.clear()
+        witt_convergence_check(4, 1, 5, 6, 6, N_max)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+    assert set(calls) == {5}
+
+
 def test_padic_json():
     assert PAdic(3, 3, 22).to_json() == {"p": 3, "M": 3, "residue": "22"}
 
