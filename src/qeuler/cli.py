@@ -197,13 +197,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify -----------------------------------------------------------
 
 
-def _resolve_identity_token(token: str) -> str | None:
+def _resolve_identity_token(token: str) -> list[str]:
+    """The tags a --id token names: itself if exact, else every tag it prefixes."""
     if token in REGISTRY:
-        return token
-    matches = [tag for tag in REGISTRY if tag.startswith(token)]
-    if len(matches) == 1:
-        return matches[0]
-    return None
+        return [token]
+    return [tag for tag in REGISTRY if tag.startswith(token)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -213,11 +211,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.ids:
         ids = []
         for token in args.ids:
-            tag = _resolve_identity_token(token)
-            if tag is None:
+            matches = _resolve_identity_token(token)
+            if not matches:
                 known = ", ".join(REGISTRY)
                 return _usage_error(
                     f"unknown identity id {token!r}; known ids: {known}")
+            if len(matches) > 1:
+                return _usage_error(f"ambiguous identity id {token!r}; "
+                                    f"matches: {', '.join(matches)}")
+            (tag,) = matches
             if tag not in ids:
                 ids.append(tag)
     ranges = default_ranges(ids=ids, n_max=args.n_max, m_max=args.m_max,

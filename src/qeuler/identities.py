@@ -23,7 +23,10 @@ cor7, thm8, cor9.  Each entry's docstring below states exactly what it
 asserts.
 
 ``run_suite`` enumerates each selected identity over its parameter
-bounds.  Tuples violating an identity's side condition are counted as
+bounds.  An entry's ``bounds`` is the only statement of its grid:
+``Identity.enumerate_params`` and the parameter count ``verify_identity``
+accepts are read off the bound names (see ``Identity``), never off the
+tag.  Tuples violating an identity's side condition are counted as
 skipped (never failed) and are additionally re-evaluated into an
 "exploratory" bucket that is reported but never asserted.
 
@@ -41,7 +44,6 @@ every identity they relate is selected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -54,7 +56,7 @@ from .euler import (
     euler_poly_q,
     frobenius_euler,
 )
-from .exactalg import RatFunc, XPoly, binomial, q, rational_to_json
+from .exactalg import RatFunc, XPoly, binomial, q
 
 __all__ = [
     "SideConditionError",
@@ -107,16 +109,6 @@ def moment_reduce(expr: IntegrandExpr, cache: EulerCache | None = None) -> RatFu
     return q**expr.qshift * acc
 
 
-def _value_to_json(value: object) -> object:
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return rational_to_json(value)
-    if isinstance(value, int):
-        return str(value)
-    raise TypeError(f"cannot serialize {value!r}")
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of one identity check: both sides, their difference, equality.
@@ -138,9 +130,9 @@ class VerificationResult:
         out = {
             "id": self.identity,
             "params": list(self.params),
-            "lhs": _value_to_json(self.lhs),
-            "rhs": _value_to_json(self.rhs),
-            "diff": _value_to_json(self.difference),
+            "lhs": self.lhs.to_json(),
+            "rhs": self.rhs.to_json(),
+            "diff": self.difference.to_json(),
         }
         if self.valuation is not None:
             out["valuation"] = self.valuation
@@ -155,28 +147,47 @@ Bounds = Mapping[str, int]
 
 @dataclass(frozen=True)
 class Identity:
-    """One verifiable identity: side condition, both sides, enumeration.
+    """One verifiable identity: its parameter grid, side condition, both sides.
 
-    ``bounds`` lists (bound name, CLI flag it answers to, default value);
-    ``enumerate_params`` yields the raw grid for given bounds, including
-    tuples that violate the side condition (the caller skips those).
+    ``bounds`` lists (bound name, CLI flag it answers to, default value)
+    and is the only statement of the parameter grid: ``enumerate_params``
+    and the parameter count that ``verify_identity`` accepts are both
+    read off the bound names.  Every name other than ``s`` and ``k`` is
+    a degree running from 0 to its bound; with ``s`` the degrees are
+    instead 1 to s of them, each bounded by ``n``; with ``k`` a last
+    parameter k runs up to the smallest degree and to its own bound.
     ``lhs`` and ``rhs`` return a RatFunc or an XPoly.  For the piecewise
     identities ``rhs`` is the k > 0 closed form and ``rhs_k0`` the one
-    at k = 0 (k is the last parameter); ``closed_form`` picks between
-    them, and ``run_suite`` also evaluates ``rhs`` at k = 0 for the
-    informational branch notes.
+    at k = 0; ``closed_form`` picks between them, and ``run_suite`` also
+    evaluates ``rhs`` at k = 0 for the informational branch notes.
     """
 
     tag: str
     description: str
-    arity: int  # minimum tuple length; variadic when variadic=True
     bounds: tuple[tuple[str, str, int], ...]
     lhs: Callable[[Params, EulerCache | None], object]
     rhs: Callable[[Params, EulerCache | None], object]
-    enumerate_params: Callable[[Bounds], Iterator[Params]]
-    variadic: bool = False
     admissible: Callable[[Params], bool] = lambda params: True
     rhs_k0: Callable[[Params, EulerCache | None], object] | None = None
+
+    def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
+        """The raw grid for the given bound values.
+
+        Includes tuples that violate the side condition (the caller
+        skips those).
+        """
+        names = [name for name, _, _ in self.bounds]
+        if "s" in names:
+            shapes = [[bounds["n"]] * s for s in range(1, bounds["s"] + 1)]
+        else:
+            shapes = [[bounds[name] for name in names if name != "k"]]
+        for caps in shapes:
+            for degrees in product(*(range(cap + 1) for cap in caps)):
+                if "k" not in names:
+                    yield degrees
+                    continue
+                for k in range(min(*degrees, bounds["k"]) + 1):
+                    yield degrees + (k,)
 
     def closed_form(self, params: Params, cache: EulerCache | None) -> object:
         """The closed form at params: ``rhs_k0`` when set and k = 0, else ``rhs``."""
@@ -187,52 +198,19 @@ class Identity:
 
 def _check_params(identity: Identity, params: Params) -> Params:
     params = tuple(params)
-    if identity.variadic:
-        if len(params) < identity.arity:
-            raise ValueError(
-                f"{identity.tag} needs at least {identity.arity} parameters"
-            )
-    elif len(params) != identity.arity:
-        raise ValueError(f"{identity.tag} takes exactly {identity.arity} parameters")
+    names = [name for name, _, _ in identity.bounds]
+    arity = len(names) - ("s" in names)
+    if "s" in names:
+        if len(params) < arity:
+            raise ValueError(f"{identity.tag} needs at least {arity} parameters")
+    elif len(params) != arity:
+        raise ValueError(f"{identity.tag} takes exactly {arity} parameters")
     for p in params:
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"{identity.tag} parameters must be integers")
         if p < 0:
             raise ValueError(f"{identity.tag} parameters must be nonnegative")
     return params
-
-
-# enumeration helpers; each yields the raw grid for the given bounds
-
-def _enum_single_n(bounds: Bounds) -> Iterator[Params]:
-    for n in range(bounds["n"] + 1):
-        yield (n,)
-
-
-def _enum_pairs_k_up_to_n(bounds: Bounds) -> Iterator[Params]:
-    for n in range(bounds["n"] + 1):
-        for k in range(min(n, bounds["k"]) + 1):
-            yield (n, k)
-
-
-def _enum_eq2(bounds: Bounds) -> Iterator[Params]:
-    for m in range(bounds["m"] + 1):
-        for nshift in range(bounds["nshift"] + 1):
-            yield (m, nshift)
-
-
-def _enum_two_degrees(bounds: Bounds) -> Iterator[Params]:
-    for n in range(bounds["n"] + 1):
-        for m in range(bounds["m"] + 1):
-            for k in range(min(n, m, bounds["k"]) + 1):
-                yield (n, m, k)
-
-
-def _enum_multi_degrees(bounds: Bounds) -> Iterator[Params]:
-    for s in range(1, bounds["s"] + 1):
-        for ns in product(range(bounds["n"] + 1), repeat=s):
-            for k in range(min(min(ns), bounds["k"]) + 1):
-                yield ns + (k,)
 
 
 # closed-form helpers
@@ -518,43 +496,35 @@ _register(
         "(-1)^nshift times the plain one plus twice the alternating "
         "boundary sum of q^l l^m"
     ),
-    arity=2,
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
     admissible=lambda p: p[1] >= 1,
     lhs=_eq2_lhs,
     rhs=_eq2_rhs,
-    enumerate_params=_enum_eq2,
 )
 
 _register(
     tag="eq9_frobenius",
     description="E_n(q) = (2/(1+q)) H_n(-1/q)",
-    arity=1,
     bounds=(("n", "n", 10),),
     lhs=_eq9_lhs,
     rhs=_eq9_rhs,
-    enumerate_params=_enum_single_n,
 )
 
 _register(
     tag="thm1_reflection",
     description="(-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise in x",
-    arity=1,
     bounds=(("n", "n", 8),),
     lhs=_thm1_lhs,
     rhs=_thm1_rhs,
-    enumerate_params=_enum_single_n,
 )
 
 _register(
     tag="thm2_value_at_two",
     description="q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1",
-    arity=1,
     bounds=(("n", "n", 8),),
     admissible=lambda p: p[0] >= 1,
     lhs=_thm2_lhs,
     rhs=_thm2_rhs,
-    enumerate_params=_enum_single_n,
 )
 
 _register(
@@ -563,12 +533,10 @@ _register(
         "integral of q^-x (1-x)^n equals 2 + (1/q) integral of q^x x^n "
         "for n >= 1"
     ),
-    arity=1,
     bounds=(("n", "n", 8),),
     admissible=lambda p: p[0] >= 1,
     lhs=_thm3_lhs,
     rhs=_thm3_rhs,
-    enumerate_params=_enum_single_n,
 )
 
 _register(
@@ -577,22 +545,18 @@ _register(
         "integral of q^x B_{k,n} equals C(n,k) times the alternating "
         "sum of E_{k+j}(q), j up to n-k"
     ),
-    arity=2,
     bounds=(("n", "n", 8), ("k", "k", 8)),
     admissible=lambda p: p[1] < p[0],
     lhs=_eq14_lhs,
     rhs=_eq14_rhs,
-    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
     tag="eq15_symmetry",
     description="B_{k,n}(x) = B_{n-k,n}(1-x)",
-    arity=2,
     bounds=(("n", "n", 10), ("k", "k", 10)),
     lhs=_eq15_lhs,
     rhs=_eq15_rhs,
-    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
@@ -601,13 +565,11 @@ _register(
         "integral of q^(1-x) B_{k,n} for n > k: 2q + E_n(q) when k = 0, "
         "else C(n,k) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
-    arity=2,
     bounds=(("n", "n", 8), ("k", "k", 8)),
     admissible=lambda p: p[1] < p[0],
     lhs=_thm4_lhs,
     rhs=_thm4_rhs,
     rhs_k0=_thm4_rhs_k0,
-    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
@@ -616,13 +578,11 @@ _register(
         "sum_j C(n-k,j) (-1)^j E_{k+j}(1/q) for n > k: 2 + (1/q) E_n(q) "
         "when k = 0, else (1/q) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
-    arity=2,
     bounds=(("n", "n", 8), ("k", "k", 8)),
     admissible=lambda p: p[1] < p[0],
     lhs=_cor5_lhs,
     rhs=_cor5_rhs,
     rhs_k0=_cor5_rhs_k0,
-    enumerate_params=_enum_pairs_k_up_to_n,
 )
 
 _register(
@@ -632,13 +592,11 @@ _register(
         "2q + E_{n+m}(q) when k = 0, else C(n,k) C(m,k) "
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
-    arity=3,
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     lhs=_thm6_lhs,
     rhs=_thm6_rhs,
     rhs_k0=_thm6_rhs_k0,
-    enumerate_params=_enum_two_degrees,
 )
 
 _register(
@@ -648,13 +606,11 @@ _register(
         "2 + (1/q) E_{n+m}(q) when k = 0, else (1/q) "
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
-    arity=3,
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     lhs=_cor7_lhs,
     rhs=_cor7_rhs,
     rhs_k0=_cor7_rhs_k0,
-    enumerate_params=_enum_two_degrees,
 )
 
 _register(
@@ -665,14 +621,11 @@ _register(
         "(prod C(n_i,k)) sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); "
         "params are (n_1, ..., n_s, k)"
     ),
-    arity=2,
-    variadic=True,
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_thm8_lhs,
     rhs=_thm8_rhs,
     rhs_k0=_thm8_rhs_k0,
-    enumerate_params=_enum_multi_degrees,
 )
 
 _register(
@@ -683,14 +636,11 @@ _register(
         "sum_j C(sk,j) (-1)^(sk+j) E_{sum-j}(q); params are "
         "(n_1, ..., n_s, k)"
     ),
-    arity=2,
-    variadic=True,
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_cor9_lhs,
     rhs=_cor9_rhs,
     rhs_k0=_cor9_rhs_k0,
-    enumerate_params=_enum_multi_degrees,
 )
 
 
@@ -918,7 +868,7 @@ def _cross_check_results(
     if "eq14_bernstein_moment" in ranges and "thm4" in ranges:
         # the q -> 1/q swap carries the eq14 formula onto the thm4 one
         bounds = ranges["thm4"]
-        for n, k in sorted(_enum_pairs_k_up_to_n(bounds)):
+        for n, k in sorted(REGISTRY["thm4"].enumerate_params(bounds)):
             if not k < n:
                 continue
             swapped = q * _eq14_rhs((n, k), cache).invert_q()
@@ -944,7 +894,7 @@ def _cross_check_results(
         multi = REGISTRY[multi_tag]
         grid = sorted(
             params
-            for params in _enum_multi_degrees({**bounds, "s": s})
+            for params in multi.enumerate_params({**bounds, "s": s})
             if len(params) == s + 1 and multi.admissible(params)
         )
         for params in grid:

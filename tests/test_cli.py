@@ -78,6 +78,12 @@ def test_verify_unknown_id(capsys):
 def test_verify_ambiguous_prefix(capsys):
     code, _, err = run(capsys, ["verify", "--id", "thm"])
     assert code == 2
+    code, out, err = run(capsys, ["verify", "--id", "cor"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "ambiguous" in err
+    assert all(tag in err for tag in ("cor5", "cor7", "cor9"))
 
 
 def test_verify_prefix_resolution(capsys):
@@ -116,13 +122,10 @@ def test_verify_reports_failure_with_exit_1(capsys):
     broken = Identity(
         tag="always_wrong",
         description="deliberately false, for the failure path",
-        arity=1,
-        variadic=False,
         bounds=(("n", "n", 1),),
         admissible=lambda p: True,
         lhs=lambda p, c: RatFunc(0),
         rhs=lambda p, c: RatFunc(1),
-        enumerate_params=lambda b: ((n,) for n in range(b["n"] + 1)),
     )
     REGISTRY["always_wrong"] = broken
     try:

@@ -21,6 +21,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = {
     "table_n12": ["table", "--n-max", "12"],
     "verify_all_n4_s2": ["verify", "--all", "--n-max", "4", "--s-max", "2"],
+    "verify_all_n3_m2_k1_s3": ["verify", "--all", "--n-max", "3", "--m-max", "2",
+                               "--k-max", "1", "--s-max", "3"],
     "padic_p5": ["padic", "--p", "5", "--precision", "4", "--depth", "5",
                  "--n-max", "4"],
     "padic_p11": ["padic", "--p", "11", "--q0", "12", "--precision", "6",

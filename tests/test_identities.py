@@ -1,5 +1,6 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,91 @@ def test_parameter_validation():
         verify_identity("thm4", (3, True))
     with pytest.raises(ValueError):
         verify_identity("thm8", (3,))  # needs at least n_1 and k
+
+
+# the fewest parameters each identity takes; thm8 and cor9 take more
+MIN_ARITY = {
+    "eq2_symbolic": 2, "eq9_frobenius": 1, "thm1_reflection": 1,
+    "thm2_value_at_two": 1, "thm3_integral": 1, "eq14_bernstein_moment": 2,
+    "eq15_symmetry": 2, "thm4": 2, "cor5": 2, "thm6": 3, "cor7": 3,
+    "thm8": 2, "cor9": 2,
+}
+VARIADIC = {"thm8", "cor9"}
+
+
+def test_parameter_count_is_checked_for_every_identity():
+    assert set(MIN_ARITY) == set(REGISTRY)
+    for tag, arity in MIN_ARITY.items():
+        too_short = [(1,) * (arity - 1)]
+        if tag not in VARIADIC:
+            too_short.append((1,) * (arity + 1))
+        for params in too_short:
+            # the count is refused before the side condition is looked at
+            with pytest.raises(ValueError, match="parameters") as info:
+                verify_identity(tag, params)
+            assert not isinstance(info.value, SideConditionError), (tag, params)
+    for tag in VARIADIC:
+        for params in ((2, 1), (2, 1, 1), (2, 1, 2, 1)):
+            assert verify_identity(tag, params).equal, (tag, params)
+
+
+# reference grids, one per shape, written out apart from the registry
+
+
+def _grid_one_degree(b):
+    return [(n,) for n in range(b["n"] + 1)]
+
+
+def _grid_k_up_to_n(b):
+    return [(n, k) for n in range(b["n"] + 1)
+            for k in range(min(n, b["k"]) + 1)]
+
+
+def _grid_eq2(b):
+    return [(m, t) for m in range(b["m"] + 1) for t in range(b["nshift"] + 1)]
+
+
+def _grid_two_degrees(b):
+    return [(n, m, k) for n in range(b["n"] + 1) for m in range(b["m"] + 1)
+            for k in range(min(n, m, b["k"]) + 1)]
+
+
+def _grid_many_degrees(b):
+    out = []
+    for s in range(1, b["s"] + 1):
+        for ns in itertools.product(range(b["n"] + 1), repeat=s):
+            out.extend(ns + (k,) for k in range(min(min(ns), b["k"]) + 1))
+    return out
+
+
+REFERENCE_GRIDS = {
+    "eq2_symbolic": _grid_eq2,
+    "eq9_frobenius": _grid_one_degree,
+    "thm1_reflection": _grid_one_degree,
+    "thm2_value_at_two": _grid_one_degree,
+    "thm3_integral": _grid_one_degree,
+    "eq14_bernstein_moment": _grid_k_up_to_n,
+    "eq15_symmetry": _grid_k_up_to_n,
+    "thm4": _grid_k_up_to_n,
+    "cor5": _grid_k_up_to_n,
+    "thm6": _grid_two_degrees,
+    "cor7": _grid_two_degrees,
+    "thm8": _grid_many_degrees,
+    "cor9": _grid_many_degrees,
+}
+
+
+@pytest.mark.parametrize("values", [
+    {"n": 3, "m": 2, "k": 1, "s": 2, "nshift": 2},
+    {"n": 2, "m": 3, "k": 3, "s": 3, "nshift": 0},
+    {"n": 0, "m": 1, "k": 0, "s": 1, "nshift": 1},
+])
+def test_enumerate_params_matches_reference_grids(values):
+    assert set(REFERENCE_GRIDS) == set(REGISTRY)
+    for tag, reference in REFERENCE_GRIDS.items():
+        identity = REGISTRY[tag]
+        bounds = {name: values[name] for name, _, _ in identity.bounds}
+        assert list(identity.enumerate_params(bounds)) == reference(bounds), tag
 
 
 def test_side_conditions_raise_their_own_error():

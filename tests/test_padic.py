@@ -94,6 +94,10 @@ def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
     assert set(calls) == {5}
+    for N in (2, 8):
+        calls.clear()
+        shift_identity_check_numeric(3, 2, 6, 5, N, 6)
+        assert calls == [5]
 
 
 def test_padic_json():
