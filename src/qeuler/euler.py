@@ -23,8 +23,11 @@ Definitions used here:
 They are linked by E_n(q) = (2/(1+q)) * H_n(-1/q) and by
 E_n(q)|_{q=1} = E_n; both links are verified by the identity suite.
 
-Values are memoized in an EulerCache.  The module-level default cache is
-shared; callers needing isolation or a higher index cap pass their own.
+Values are memoized in an EulerCache.  Only the five per-value functions
+(euler_number_q, euler_number_q_inverse, euler_poly_q, frobenius_euler,
+classical_euler_number) and the EulerCache methods take a cache; every
+other function here, and every caller elsewhere in the package, uses
+the shared module-level cache.
 """
 
 from __future__ import annotations
@@ -133,9 +136,9 @@ def _cache(cache: EulerCache | None) -> EulerCache:
     return _DEFAULT_CACHE if cache is None else cache
 
 
-def check_index(n: int, cache: EulerCache | None = None) -> None:
-    """Raise IndexCapError when n is above the cap of the cache (default: shared)."""
-    _cache(cache)._check_index(n)
+def check_index(n: int) -> None:
+    """Raise IndexCapError when n is above the cap of the shared cache."""
+    _DEFAULT_CACHE._check_index(n)
 
 
 def euler_number_q(n: int, cache: EulerCache | None = None) -> RatFunc:
@@ -155,6 +158,7 @@ def euler_poly_q(n: int, cache: EulerCache | None = None) -> XPoly:
     and its value at x = 0 is E_n(q).
     """
     store = _cache(cache)
+    store._check_index(n)
     coeffs = [binomial(n, j) * store.number(n - j) for j in range(n + 1)]
     return XPoly(coeffs)
 
@@ -169,21 +173,18 @@ def classical_euler_number(n: int, cache: EulerCache | None = None) -> Fraction:
     return _cache(cache).classical(n)
 
 
-def _table_values(
-    n_max: int, cache: EulerCache | None = None
-) -> list[tuple[int, RatFunc, Fraction, RatFunc]]:
+def _table_values(n_max: int) -> list[tuple[int, RatFunc, Fraction, RatFunc]]:
     """(n, E_n(q), E_n(1), H_n(-1/q)) for n = 0 .. n_max, exact."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    store = _cache(cache)
     rows = []
     for n in range(n_max + 1):
-        e = store.number(n)
-        rows.append((n, e, e(1), store.frobenius(n, MINUS_Q_INVERSE)))
+        e = _DEFAULT_CACHE.number(n)
+        rows.append((n, e, e(1), _DEFAULT_CACHE.frobenius(n, MINUS_Q_INVERSE)))
     return rows
 
 
-def table_rows(n_max: int, cache: EulerCache | None = None) -> list[dict]:
+def table_rows(n_max: int) -> list[dict]:
     """Rows {n, e_nq, e_at_q1, frobenius} for n = 0 .. n_max, JSON-ready.
 
     e_nq is E_n(q), e_at_q1 its value at q = 1, and frobenius is
@@ -196,5 +197,5 @@ def table_rows(n_max: int, cache: EulerCache | None = None) -> list[dict]:
             "e_at_q1": rational_to_json(classical),
             "frobenius": frobenius.to_json(),
         }
-        for n, e, classical, frobenius in _table_values(n_max, cache)
+        for n, e, classical, frobenius in _table_values(n_max)
     ]

@@ -163,10 +163,10 @@ class PolyQ(_Exact):
         return tuple(Fraction(c, den) for c in self._ints)
 
     @classmethod
-    def monomial(cls, degree: int, coeff: ScalarLike = 1) -> "PolyQ":
+    def monomial(cls, degree: int) -> "PolyQ":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     @property
     def degree(self) -> int:
@@ -294,9 +294,9 @@ class PolyQ(_Exact):
     def __str__(self) -> str:
         return self._render(_fraction_str, lambda i: "q" if i == 1 else f"q^{i}", "*")
 
-    def latex(self, var: str = "q") -> str:
+    def latex(self) -> str:
         return self._render(
-            _fraction_latex, lambda i: var if i == 1 else f"{var}^{{{i}}}", " "
+            _fraction_latex, lambda i: "q" if i == 1 else f"q^{{{i}}}", " "
         )
 
     def _render(self, scalar, power, times: str) -> str:
@@ -619,12 +619,6 @@ class XPoly(_Exact):
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: object = 1) -> "XPoly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     @property
     def degree(self) -> int:

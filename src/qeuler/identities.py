@@ -50,7 +50,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .bernstein import bernstein_basis
 from .euler import (
     MINUS_Q_INVERSE,
-    EulerCache,
     euler_number_q,
     euler_number_q_inverse,
     euler_poly_q,
@@ -93,15 +92,12 @@ class IntegrandExpr:
             raise TypeError("poly must be an XPoly")
 
 
-def moment_reduce(expr: IntegrandExpr, cache: EulerCache | None = None) -> RatFunc:
+def moment_reduce(expr: IntegrandExpr) -> RatFunc:
     """Alternating-measure integral of the integrand, reduced termwise.
 
     Linear in the polynomial part; the result is exact in Q(q).
     """
-    if expr.qsign == 1:
-        moment: Callable[[int], RatFunc] = lambda j: euler_number_q(j, cache)
-    else:
-        moment = lambda j: euler_number_q_inverse(j, cache)
+    moment = euler_number_q if expr.qsign == 1 else euler_number_q_inverse
     acc = RatFunc(0)
     for j, c in enumerate(expr.poly.coeffs):
         if not c.is_zero:
@@ -156,19 +152,21 @@ class Identity:
     a degree running from 0 to its bound; with ``s`` the degrees are
     instead 1 to s of them, each bounded by ``n``; with ``k`` a last
     parameter k runs up to the smallest degree and to its own bound.
-    ``lhs`` and ``rhs`` return a RatFunc or an XPoly.  For the piecewise
-    identities ``rhs`` is the k > 0 closed form and ``rhs_k0`` the one
-    at k = 0; ``closed_form`` picks between them, and ``run_suite`` also
+    ``lhs(params)`` and ``rhs(params)`` return a RatFunc or an XPoly and
+    take every q-Euler value from the ``euler`` functions, which alone
+    decide where values are memoized.  For the piecewise identities
+    ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
+    k = 0; ``closed_form`` picks between them, and ``run_suite`` also
     evaluates ``rhs`` at k = 0 for the informational branch notes.
     """
 
     tag: str
     description: str
     bounds: tuple[tuple[str, str, int], ...]
-    lhs: Callable[[Params, EulerCache | None], object]
-    rhs: Callable[[Params, EulerCache | None], object]
+    lhs: Callable[[Params], object]
+    rhs: Callable[[Params], object]
     admissible: Callable[[Params], bool] = lambda params: True
-    rhs_k0: Callable[[Params, EulerCache | None], object] | None = None
+    rhs_k0: Callable[[Params], object] | None = None
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -189,11 +187,11 @@ class Identity:
                 for k in range(min(*degrees, bounds["k"]) + 1):
                     yield degrees + (k,)
 
-    def closed_form(self, params: Params, cache: EulerCache | None) -> object:
+    def closed_form(self, params: Params) -> object:
         """The closed form at params: ``rhs_k0`` when set and k = 0, else ``rhs``."""
         if self.rhs_k0 is not None and params[-1] == 0:
-            return self.rhs_k0(params, cache)
-        return self.rhs(params, cache)
+            return self.rhs_k0(params)
+        return self.rhs(params)
 
 
 def _check_params(identity: Identity, params: Params) -> Params:
@@ -232,16 +230,14 @@ def _basis_product(ns: Sequence[int], k: int) -> XPoly:
 
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
 
-def _eq2_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq2_lhs(params: Params) -> RatFunc:
     m, nshift = params
-    return moment_reduce(
-        IntegrandExpr(1, nshift, _x_plus_constant_power(nshift, m)), cache
-    )
+    return moment_reduce(IntegrandExpr(1, nshift, _x_plus_constant_power(nshift, m)))
 
 
-def _eq2_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq2_rhs(params: Params) -> RatFunc:
     m, nshift = params
-    acc = RatFunc((-1) ** nshift) * euler_number_q(m, cache)
+    acc = RatFunc((-1) ** nshift) * euler_number_q(m)
     boundary = RatFunc(0)
     for l in range(nshift):
         boundary = boundary + RatFunc((-1) ** (nshift - 1 - l) * l**m) * q**l
@@ -250,173 +246,167 @@ def _eq2_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
 
 # eq9_frobenius: E_n(q) = (2/(1+q)) H_n(-1/q)
 
-def _eq9_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq9_lhs(params: Params) -> RatFunc:
     (n,) = params
-    return euler_number_q(n, cache)
+    return euler_number_q(n)
 
 
-def _eq9_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq9_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return (2 / (1 + q)) * frobenius_euler(n, MINUS_Q_INVERSE, cache)
+    return (2 / (1 + q)) * frobenius_euler(n, MINUS_Q_INVERSE)
 
 
 # thm1_reflection: (-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise
 
-def _thm1_lhs(params: Params, cache: EulerCache | None) -> XPoly:
+def _thm1_lhs(params: Params) -> XPoly:
     (n,) = params
-    return euler_poly_q(n, cache).invert_q() * RatFunc((-1) ** n)
+    return euler_poly_q(n).invert_q() * RatFunc((-1) ** n)
 
 
-def _thm1_rhs(params: Params, cache: EulerCache | None) -> XPoly:
+def _thm1_rhs(params: Params) -> XPoly:
     (n,) = params
-    return euler_poly_q(n, cache).compose_affine(-1, 1) * q
+    return euler_poly_q(n).compose_affine(-1, 1) * q
 
 
 # thm2_value_at_two: q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1
 
-def _thm2_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm2_lhs(params: Params) -> RatFunc:
     (n,) = params
-    return moment_reduce(IntegrandExpr(1, 1, _x_plus_constant_power(2, n)), cache)
+    return moment_reduce(IntegrandExpr(1, 1, _x_plus_constant_power(2, n)))
 
 
-def _thm2_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm2_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return 2 + (1 / q) * euler_number_q(n, cache)
+    return 2 + (1 / q) * euler_number_q(n)
 
 
 # thm3_integral: integral of q^-x (1-x)^n equals 2 + (1/q) * integral of q^x x^n
 
-def _thm3_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm3_lhs(params: Params) -> RatFunc:
     (n,) = params
-    return moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)), cache)
+    return moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)))
 
 
-def _thm3_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm3_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return 2 + (1 / q) * euler_number_q(n, cache)
+    return 2 + (1 / q) * euler_number_q(n)
 
 
 # eq14_bernstein_moment: integral of q^x B_{k,n} in terms of E_{k+j}(q)
 
-def _eq14_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq14_lhs(params: Params) -> RatFunc:
     n, k = params
-    return moment_reduce(IntegrandExpr(1, 0, bernstein_basis(k, n)), cache)
+    return moment_reduce(IntegrandExpr(1, 0, bernstein_basis(k, n)))
 
 
-def _eq14_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _eq14_rhs(params: Params) -> RatFunc:
     n, k = params
     acc = RatFunc(0)
     for j in range(n - k + 1):
-        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q(k + j, cache)
+        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q(k + j)
     return binomial(n, k) * acc
 
 
 # eq15_symmetry: B_{k,n}(x) = B_{n-k,n}(1-x)
 
-def _eq15_lhs(params: Params, cache: EulerCache | None) -> XPoly:
+def _eq15_lhs(params: Params) -> XPoly:
     n, k = params
     return bernstein_basis(k, n)
 
 
-def _eq15_rhs(params: Params, cache: EulerCache | None) -> XPoly:
+def _eq15_rhs(params: Params) -> XPoly:
     n, k = params
     return bernstein_basis(n - k, n).compose_affine(-1, 1)
 
 
 # thm4: integral of q^(1-x) B_{k,n}, piecewise in k, for n > k
 
-def _thm4_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm4_lhs(params: Params) -> RatFunc:
     n, k = params
-    return moment_reduce(IntegrandExpr(-1, 1, bernstein_basis(k, n)), cache)
+    return moment_reduce(IntegrandExpr(-1, 1, bernstein_basis(k, n)))
 
 
-def _thm4_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm4_rhs(params: Params) -> RatFunc:
     n, k = params
     acc = RatFunc(0)
     for j in range(k + 1):
-        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j, cache)
+        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j)
     return binomial(n, k) * acc
 
 
-def _thm4_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm4_rhs_k0(params: Params) -> RatFunc:
     n, _ = params
-    return 2 * q + euler_number_q(n, cache)
+    return 2 * q + euler_number_q(n)
 
 
 # cor5: the q -> 1/q image of eq14 against thm4, piecewise in k, for n > k
 
-def _cor5_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor5_lhs(params: Params) -> RatFunc:
     n, k = params
     acc = RatFunc(0)
     for j in range(n - k + 1):
-        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q_inverse(
-            k + j, cache
-        )
+        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q_inverse(k + j)
     return acc
 
 
-def _cor5_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor5_rhs(params: Params) -> RatFunc:
     n, k = params
     acc = RatFunc(0)
     for j in range(k + 1):
-        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j, cache)
+        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j)
     return (1 / q) * acc
 
 
-def _cor5_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor5_rhs_k0(params: Params) -> RatFunc:
     n, _ = params
-    return 2 + (1 / q) * euler_number_q(n, cache)
+    return 2 + (1 / q) * euler_number_q(n)
 
 
 # thm6: integral of q^(1-x) B_{k,n} B_{k,m}, piecewise in k, for n + m > 2k
 
-def _thm6_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm6_lhs(params: Params) -> RatFunc:
     n, m, k = params
     return moment_reduce(
-        IntegrandExpr(-1, 1, bernstein_basis(k, n) * bernstein_basis(k, m)), cache
+        IntegrandExpr(-1, 1, bernstein_basis(k, n) * bernstein_basis(k, m))
     )
 
 
-def _thm6_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm6_rhs(params: Params) -> RatFunc:
     n, m, k = params
     acc = RatFunc(0)
     for j in range(2 * k + 1):
-        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(
-            n + m - j, cache
-        )
+        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(n + m - j)
     return binomial(n, k) * binomial(m, k) * acc
 
 
-def _thm6_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm6_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return 2 * q + euler_number_q(n + m, cache)
+    return 2 * q + euler_number_q(n + m)
 
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
 
-def _cor7_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor7_lhs(params: Params) -> RatFunc:
     n, m, k = params
     acc = RatFunc(0)
     for j in range(n + m - 2 * k + 1):
         acc = acc + binomial(n + m - 2 * k, j) * (-1) ** j * euler_number_q_inverse(
-            j + 2 * k, cache
+            j + 2 * k
         )
     return acc
 
 
-def _cor7_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor7_rhs(params: Params) -> RatFunc:
     n, m, k = params
     acc = RatFunc(0)
     for j in range(2 * k + 1):
-        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(
-            n + m - j, cache
-        )
+        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(n + m - j)
     return (1 / q) * acc
 
 
-def _cor7_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor7_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return 2 + (1 / q) * euler_number_q(n + m, cache)
+    return 2 + (1 / q) * euler_number_q(n + m)
 
 
 # thm8: integral of q^(1-x) * product of s Bernstein factors, sum n_i > s k
@@ -425,60 +415,56 @@ def _thm8_split(params: Params) -> tuple[tuple[int, ...], int]:
     return params[:-1], params[-1]
 
 
-def _thm8_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm8_lhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    return moment_reduce(IntegrandExpr(-1, 1, _basis_product(ns, k)), cache)
+    return moment_reduce(IntegrandExpr(-1, 1, _basis_product(ns, k)))
 
 
-def _thm8_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm8_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
     acc = RatFunc(0)
     for j in range(s * k + 1):
-        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(
-            total - j, cache
-        )
+        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(total - j)
     lead = 1
     for n in ns:
         lead *= binomial(n, k)
     return lead * acc
 
 
-def _thm8_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _thm8_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return 2 * q + euler_number_q(sum(ns), cache)
+    return 2 * q + euler_number_q(sum(ns))
 
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
 
-def _cor9_lhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor9_lhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
     acc = RatFunc(0)
     for j in range(total - s * k + 1):
         acc = acc + binomial(total - s * k, j) * (-1) ** j * euler_number_q_inverse(
-            j + s * k, cache
+            j + s * k
         )
     return acc
 
 
-def _cor9_rhs(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor9_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
     acc = RatFunc(0)
     for j in range(s * k + 1):
-        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(
-            total - j, cache
-        )
+        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(total - j)
     return (1 / q) * acc
 
 
-def _cor9_rhs_k0(params: Params, cache: EulerCache | None) -> RatFunc:
+def _cor9_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return 2 + (1 / q) * euler_number_q(sum(ns), cache)
+    return 2 + (1 / q) * euler_number_q(sum(ns))
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -644,9 +630,7 @@ _register(
 )
 
 
-def verify_identity(
-    tag: str, params: Sequence[int], cache: EulerCache | None = None
-) -> VerificationResult:
+def verify_identity(tag: str, params: Sequence[int]) -> VerificationResult:
     """Check one registry identity at one parameter tuple, exactly.
 
     Raises SideConditionError when the tuple violates the identity's
@@ -658,8 +642,8 @@ def verify_identity(
     params = _check_params(identity, tuple(params))
     if not identity.admissible(params):
         raise SideConditionError(f"{tag} side condition fails at {params}")
-    lhs = identity.lhs(params, cache)
-    rhs = identity.closed_form(params, cache)
+    lhs = identity.lhs(params)
+    rhs = identity.closed_form(params)
     difference = lhs - rhs
     return VerificationResult(tag, params, lhs, rhs, difference.is_zero, difference)
 
@@ -771,23 +755,16 @@ def default_ranges(
     return ranges
 
 
-def _exploratory_eval(
-    identity: Identity, params: Params, cache: EulerCache | None
-) -> ExploratoryRecord:
+def _exploratory_eval(identity: Identity, params: Params) -> ExploratoryRecord:
     try:
-        lhs = identity.lhs(params, cache)
-        rhs = identity.closed_form(params, cache)
+        lhs = identity.lhs(params)
+        rhs = identity.closed_form(params)
     except Exception as exc:  # genuinely unevaluable outside the hypothesis
         return ExploratoryRecord(identity.tag, params, False, None, str(exc))
     return ExploratoryRecord(identity.tag, params, True, lhs == rhs)
 
 
-def run_suite(
-    ranges: Mapping[str, Mapping[str, int]] | None = None,
-    cache: EulerCache | None = None,
-    cross_checks: bool = True,
-    exploratory: bool = True,
-) -> SuiteReport:
+def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     """Verify every selected identity over its bounds; aggregate the outcome.
 
     ``ranges`` maps identity tags to bound values (see default_ranges);
@@ -796,8 +773,6 @@ def run_suite(
     deterministic.  Cross-checks run only when all identities they
     relate are selected.
     """
-    if ranges is None:
-        ranges = default_ranges()
     unknown = set(ranges) - set(REGISTRY)
     if unknown:
         raise ValueError(f"unknown identities in ranges: {sorted(unknown)}")
@@ -808,22 +783,18 @@ def run_suite(
         bounds = ranges[tag]
         for params in sorted(identity.enumerate_params(bounds)):
             if identity.admissible(params):
-                result = verify_identity(tag, params, cache)
+                result = verify_identity(tag, params)
                 report.record(result)
                 if identity.rhs_k0 is not None and params[-1] == 0:
-                    general = identity.rhs(params, cache)
+                    general = identity.rhs(params)
                     report.branch_notes.append(
                         BranchNote(tag, params, general == result.rhs)
                     )
             else:
                 report.skipped += 1
-                if exploratory:
-                    report.exploratory.append(
-                        _exploratory_eval(identity, params, cache)
-                    )
-    if cross_checks:
-        for result in _cross_check_results(ranges, cache):
-            report.record(result)
+                report.exploratory.append(_exploratory_eval(identity, params))
+    for result in _cross_check_results(ranges):
+        report.record(result)
     return report
 
 
@@ -837,7 +808,7 @@ def _first_nonzero(*diffs: RatFunc) -> tuple[bool, RatFunc]:
     return True, RatFunc(0)
 
 
-def reflection_chain(n: int, cache: EulerCache | None = None) -> tuple[RatFunc, ...]:
+def reflection_chain(n: int) -> tuple[RatFunc, ...]:
     """Four expressions that must coincide for n >= 1.
 
     (-1)^n E_n(-1, 1/q); q E_n(2, q); 2 + (1/q) E_n(q); and the reduced
@@ -845,21 +816,21 @@ def reflection_chain(n: int, cache: EulerCache | None = None) -> tuple[RatFunc, 
     at x = -1 to the value at 2; the last two are the closed form and
     the oracle form.
     """
-    a = euler_poly_q(n, cache).invert_q()(-1) * RatFunc((-1) ** n)
-    b = q * euler_poly_q(n, cache)(2)
-    c = 2 + (1 / q) * euler_number_q(n, cache)
-    d = moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)), cache)
+    a = euler_poly_q(n).invert_q()(-1) * RatFunc((-1) ** n)
+    b = q * euler_poly_q(n)(2)
+    c = 2 + (1 / q) * euler_number_q(n)
+    d = moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)))
     return a, b, c, d
 
 
 def _cross_check_results(
-    ranges: Mapping[str, Mapping[str, int]], cache: EulerCache | None
+    ranges: Mapping[str, Mapping[str, int]]
 ) -> Iterator[VerificationResult]:
     chain_tags = ("thm1_reflection", "thm2_value_at_two", "thm3_integral")
     if all(tag in ranges for tag in chain_tags):
         n_hi = min(ranges[tag]["n"] for tag in chain_tags)
         for n in range(1, n_hi + 1):
-            a, b, c, d = reflection_chain(n, cache)
+            a, b, c, d = reflection_chain(n)
             equal, diff = _first_nonzero(a - b, a - c, a - d)
             yield VerificationResult(
                 "xcheck_reflection_chain", (n,), a, c, equal, diff
@@ -871,8 +842,8 @@ def _cross_check_results(
         for n, k in sorted(REGISTRY["thm4"].enumerate_params(bounds)):
             if not k < n:
                 continue
-            swapped = q * _eq14_rhs((n, k), cache).invert_q()
-            target = REGISTRY["thm4"].closed_form((n, k), cache)
+            swapped = q * _eq14_rhs((n, k)).invert_q()
+            target = REGISTRY["thm4"].closed_form((n, k))
             diff = swapped - target
             yield VerificationResult(
                 "xcheck_eq14_thm4_swap", (n, k), swapped, target, diff.is_zero, diff
@@ -898,9 +869,9 @@ def _cross_check_results(
             if len(params) == s + 1 and multi.admissible(params)
         )
         for params in grid:
-            lhs_multi = multi.lhs(params, cache)
-            rhs_multi = multi.closed_form(params, cache)
-            lhs_base = base.lhs(params, cache)
-            rhs_base = base.closed_form(params, cache)
+            lhs_multi = multi.lhs(params)
+            rhs_multi = multi.closed_form(params)
+            lhs_base = base.lhs(params)
+            rhs_base = base.closed_form(params)
             equal, diff = _first_nonzero(lhs_multi - lhs_base, rhs_multi - rhs_base)
             yield VerificationResult(xtag, params, rhs_multi, rhs_base, equal, diff)

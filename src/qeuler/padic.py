@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .euler import EulerCache, euler_poly_q
+from .euler import euler_poly_q
 from .identities import VerificationResult
 
 __all__ = [
@@ -328,7 +328,6 @@ def witt_convergence_check(
     q0: int,
     M: int,
     N_max: int,
-    cache: EulerCache | None = None,
 ) -> ConvergenceReport:
     """Compare truncated sums against the exact q-Euler polynomial value.
 
@@ -337,7 +336,7 @@ def witt_convergence_check(
     every depth N = 1 .. N_max.
     """
     _check_sum(n, x0, q0, p, N_max, M)
-    exact = euler_poly_q(n, cache)(Fraction(x0))(Fraction(q0))
+    exact = euler_poly_q(n)(Fraction(x0))(Fraction(q0))
     target = padic_from_rational(exact, p, M)
     entries = tuple(
         DepthEntry(
@@ -394,25 +393,19 @@ def shift_identity_check_numeric(
     )
 
 
-def calibrate_truncation_slack(
-    ps: tuple[int, ...] = (3, 5, 7),
-    n_max: int = 4,
-    x0s: tuple[int, ...] = (0, 1, 2),
-    N_max: int = 6,
-    M: int = 10,
-    cache: EulerCache | None = None,
-) -> int:
+def calibrate_truncation_slack() -> int:
     """Largest N - v_p(S_N - target) observed over the calibration grid.
 
-    Brute force, exact; the frozen CALIBRATED_SLACK equals this value
-    for the default arguments.
+    The grid is the one the module docstring states: p in {3, 5, 7},
+    q0 = 1 + p, n <= 4, x0 in {0, 1, 2}, N <= 6 at M = 10.  Brute
+    force, exact; the frozen CALIBRATED_SLACK equals this value.
     """
     worst = 0
-    for p in ps:
+    for p in (3, 5, 7):
         q0 = 1 + p
-        for n in range(n_max + 1):
-            for x0 in x0s:
-                report = witt_convergence_check(n, x0, p, q0, M, N_max, cache)
+        for n in range(5):
+            for x0 in (0, 1, 2):
+                report = witt_convergence_check(n, x0, p, q0, 10, 6)
                 for entry in report.entries:
                     worst = max(worst, entry.N - entry.valuation)
     return worst

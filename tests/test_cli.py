@@ -124,8 +124,8 @@ def test_verify_reports_failure_with_exit_1(capsys):
         description="deliberately false, for the failure path",
         bounds=(("n", "n", 1),),
         admissible=lambda p: True,
-        lhs=lambda p, c: RatFunc(0),
-        rhs=lambda p, c: RatFunc(1),
+        lhs=lambda p: RatFunc(0),
+        rhs=lambda p: RatFunc(1),
     )
     REGISTRY["always_wrong"] = broken
     try:

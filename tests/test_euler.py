@@ -168,6 +168,8 @@ def test_cache_cap_and_negative_index():
     with pytest.raises(ValueError):
         euler_number_q(-1)
     with pytest.raises(ValueError):
+        euler_poly_q(-1)
+    with pytest.raises(ValueError):
         classical_euler_number(-2)
 
 

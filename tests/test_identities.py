@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler.euler import EulerCache, euler_number_q, euler_number_q_inverse
+from qeuler.euler import euler_number_q, euler_number_q_inverse
 from qeuler.exactalg import RatFunc, XPoly, q, x
 from qeuler.identities import (
     REGISTRY,
@@ -344,9 +344,6 @@ def test_suite_cross_checks_gated_on_selection():
     report = run_suite(partial)
     assert not any(tag.startswith("xcheck") for tag, _, _ in report.case_log)
 
-    report = run_suite(chain, cross_checks=False)
-    assert not any(tag.startswith("xcheck") for tag, _, _ in report.case_log)
-
 
 def test_suite_degeneration_cross_checks():
     ranges = default_ranges(ids=["thm8", "thm4", "thm6"], n_max=3, k_max=2,
@@ -358,9 +355,11 @@ def test_suite_degeneration_cross_checks():
 
 
 def test_suite_exploratory_flag():
-    report = run_suite({"thm2_value_at_two": {"n": 2}}, exploratory=False)
+    report = run_suite({"thm2_value_at_two": {"n": 2}})
     assert report.skipped == 1
-    assert report.exploratory == []
+    assert [(e.identity, e.params) for e in report.exploratory] == [
+        ("thm2_value_at_two", (0,))
+    ]
 
 
 def test_suite_json_keys():
