@@ -7,7 +7,6 @@ results compose directly with the rest of the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import Rational, XPoly, binomial
@@ -35,8 +34,8 @@ def bernstein_basis(k: int, n: int) -> XPoly:
 def bernstein_operator(samples: Sequence[Rational | int], n: int) -> XPoly:
     """Degree-n Bernstein approximant sum_k samples[k] * B_{k,n}.
 
-    samples[k] plays the role of f(k/n), so exactly n+1 samples are
-    required and n must be at least 1.
+    samples[k] plays the role of f(k/n), so exactly n+1 samples, each an
+    int or a Fraction, are required and n must be at least 1.
     """
     if n < 1:
         raise ValueError("bernstein_operator needs n >= 1")
@@ -44,7 +43,8 @@ def bernstein_operator(samples: Sequence[Rational | int], n: int) -> XPoly:
         raise ValueError(f"expected {n + 1} samples for degree {n}, got {len(samples)}")
     acc = XPoly()
     for k, sample in enumerate(samples):
-        value = Fraction(sample)
-        if value:
-            acc = acc + bernstein_basis(k, n) * value
+        if not isinstance(sample, (int, Rational)):
+            raise TypeError(f"samples must be int or Fraction, not {sample!r}")
+        if sample:
+            acc = acc + bernstein_basis(k, n) * sample
     return acc

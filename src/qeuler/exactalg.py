@@ -152,7 +152,9 @@ class PolyQ(_Exact):
     _coerce = staticmethod(_as_poly_or_none)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError(f"PolyQ coefficients must be int or Fraction: {cs!r}")
         den = math.lcm(1, *(c.denominator for c in cs))
         _store(self, [c.numerator * (den // c.denominator) for c in cs], den)
 

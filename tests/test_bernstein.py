@@ -94,6 +94,13 @@ def test_operator_on_square_function():
         assert bernstein_operator(samples, n) == expected
 
 
+def test_operator_refuses_inexact_samples():
+    for bad in (0.1, 0.0, "1/2", None):
+        with pytest.raises(TypeError):
+            bernstein_operator([bad, 1], 1)
+    assert bernstein_operator([0, Fraction(1, 2)], 1) == x * Fraction(1, 2)
+
+
 def test_operator_arity_and_degree_errors():
     with pytest.raises(ValueError):
         bernstein_operator([1, 2], 2)

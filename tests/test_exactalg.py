@@ -50,6 +50,16 @@ def test_rational_json_uses_decimal_strings():
     assert rational_from_json(obj) == r
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, "1/3", 1j, None])
+def test_only_int_and_fraction_scalars_are_accepted(bad):
+    with pytest.raises(TypeError):
+        PolyQ((1, bad))
+    with pytest.raises(TypeError):
+        RatFunc(bad)
+    with pytest.raises(TypeError):
+        XPoly((bad,))
+
+
 def test_polyq_trims_trailing_zeros():
     p = PolyQ((1, 2, 0, 0))
     assert p.coeffs == (Fraction(1), Fraction(2))

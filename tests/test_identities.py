@@ -1,6 +1,8 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
+import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -352,6 +354,28 @@ def test_suite_degeneration_cross_checks():
     xtags = {tag for tag, _, _ in report.case_log if tag.startswith("xcheck")}
     assert xtags == {"xcheck_thm8_thm4", "xcheck_thm8_thm6"}
     assert report.failed == 0
+
+
+@pytest.mark.parametrize("caps", [
+    {"n_max": 4, "s_max": 2},
+    # thm8 runs n up to 3 but thm6 only m up to 2, so some cross-check
+    # base tuples lie outside thm6's own grid
+    {"n_max": 3, "m_max": 2, "k_max": 1, "s_max": 3},
+])
+def test_suite_evaluates_each_case_once(monkeypatch, caps):
+    calls = Counter()
+    for tag, identity in REGISTRY.items():
+        def counted(params, tag=tag, lhs=identity.lhs):
+            calls[tag, params] += 1
+            return lhs(params)
+        monkeypatch.setitem(REGISTRY, tag, dataclasses.replace(identity, lhs=counted))
+    report = run_suite(default_ranges(**caps))
+    assert report.failed == 0
+    assert {tag for tag, _, _ in report.case_log if tag.startswith("xcheck")} == {
+        "xcheck_reflection_chain", "xcheck_eq14_thm4_swap", "xcheck_thm8_thm4",
+        "xcheck_thm8_thm6", "xcheck_cor9_cor5", "xcheck_cor9_cor7",
+    }
+    assert [key for key, count in calls.items() if count > 1] == []
 
 
 def test_suite_exploratory_flag():
