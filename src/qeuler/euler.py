@@ -23,7 +23,9 @@ Definitions used here:
 They are linked by E_n(q) = (2/(1+q)) * H_n(-1/q) and by
 E_n(q)|_{q=1} = E_n; both links are verified by the identity suite.
 
-Values are memoized in an EulerCache.  Only the five per-value functions
+Values are memoized in an EulerCache; the shared module-level cache
+stops at index 128, where E_128(q) and E_128(1/q) take under a second.
+Only the five per-value functions
 (euler_number_q, euler_number_q_inverse, euler_poly_q, frobenius_euler,
 classical_euler_number) and the EulerCache methods take a cache; every
 other function here, and every caller elsewhere in the package, uses
@@ -69,7 +71,7 @@ class EulerCache:
     threads (stored values are immutable).
     """
 
-    def __init__(self, n_max: int = 64):
+    def __init__(self, n_max: int = 128):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         self.n_max = n_max

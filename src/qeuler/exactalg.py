@@ -20,6 +20,19 @@ Representation conventions used throughout the package:
   denominator coprime, denominator monic (and hence nonzero).  Zero is
   0/1.  Because the form is canonical, structural equality of two
   RatFunc values is mathematical equality in the field.
+* Every value the package computes has a denominator q**a * (1+q)**b
+  (E_n(q) = P_n(q)/(1+q)**(n+1) with P_n in Z[q], and the q -> 1/q
+  images, Bernstein coefficients and q-power prefactors keep that
+  shape).  A RatFunc records (a, b) in a private slot, or None for any
+  other denominator.  When both operands of ``+`` or ``*`` carry a form,
+  and for ``invert_q`` of one, the result is built without a gcd: the
+  integer numerators are lifted to the common denominator by shifts and
+  multiplications by 1+q, added or multiplied, and then q is cancelled
+  while the constant term is 0 and 1+q, by synthetic division, while
+  the alternating coefficient sum is 0.  Every other operation, and any
+  operand with another denominator, goes through ``RatFunc(num, den)``,
+  whose ``poly_gcd`` canonicalisation then detects the form of its
+  result once.
 * ``XPoly`` is a dense polynomial in a second variable x whose
   coefficients are RatFunc values, with the same trailing-zero
   convention as PolyQ.
@@ -228,12 +241,7 @@ class PolyQ(_Exact):
         a, b = self._ints, other._ints
         if not a or not b:
             return PolyQ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return _poly(out, self._den * other._den)
+        return _poly(_int_mul(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -266,7 +274,8 @@ class PolyQ(_Exact):
 
     def __call__(self, point: ScalarLike) -> Fraction:
         """Evaluate at a rational point a/b by Horner's rule on b**degree * p(a/b)."""
-        point = Fraction(point)
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError(f"evaluation point must be int or Fraction: {point!r}")
         if not self._ints:
             return Fraction(0)
         a, b = point.numerator, point.denominator
@@ -352,6 +361,21 @@ def _poly(ints: list[int], den: int) -> PolyQ:
     return _store(object.__new__(PolyQ), ints, den)
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two nonempty integer coefficient lists."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return [c * d for d in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
 def _monic(ints: list[int]) -> PolyQ:
     """The monic multiple of the nonzero integer polynomial ints."""
     lead = ints[-1]
@@ -435,18 +459,106 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
 def _as_ratfunc_or_none(value: object) -> RatFunc | None:
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, (int, Fraction, PolyQ)):
+    if isinstance(value, (int, Fraction)):
+        return _ratfunc(_poly([value.numerator], value.denominator), _ONE_DEN, (0, 0))
+    if isinstance(value, PolyQ):
         return RatFunc(value)
     return None
 
 
-class RatFunc(_Exact):
-    """Element of Q(q) in canonical form (coprime parts, monic denominator)."""
+#: The monic polynomials q**a * (1+q)**b built so far, keyed by (a, b).
+#: Threads that race on a key only build the same value twice.
+_FORM_DENS: dict[tuple[int, int], PolyQ] = {}
 
-    __slots__ = ("num", "den")
+
+def _form_den(a: int, b: int) -> PolyQ:
+    """The polynomial q**a * (1+q)**b, built once per (a, b)."""
+    den = _FORM_DENS.get((a, b))
+    if den is None:
+        den = _poly([0] * a + [comb(b, k) for k in range(b + 1)], 1)
+        _FORM_DENS[a, b] = den
+    return den
+
+
+_ONE_DEN = _form_den(0, 0)
+
+
+def _denominator_form(den: PolyQ) -> tuple[int, int] | None:
+    """(a, b) when the monic den is q**a * (1+q)**b, else None."""
+    ints = den._ints
+    a = 0
+    while not ints[a]:
+        a += 1
+    b = len(ints) - 1 - a
+    # (1+q)**b starts 1, b, ...; test that much before building the row.
+    if ints[a] != 1 or (b and ints[a + 1] != b) or ints != _form_den(a, b)._ints:
+        return None
+    return a, b
+
+
+def _ratfunc(num: PolyQ, den: PolyQ, form: tuple[int, int] | None) -> RatFunc:
+    """The RatFunc num/den of parts already canonical, den's form given."""
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "_form", form)
+    return out
+
+
+def _lift(num: PolyQ, scale: int, shift: int, power: int) -> list[int]:
+    """The integers of num times scale * q**shift * (1+q)**power, as a new list.
+
+    Each factor 1+q is one pass of shifted additions, which is cheaper
+    than a product with the binomial row when power is small, as it
+    mostly is.
+    """
+    ints = [c * scale for c in num._ints]
+    for _ in range(power):
+        ints = [c + d for c, d in zip(ints + [0], [0] + ints)]
+    return [0] * shift + ints
+
+
+def _over_form(ints: list[int], scale: int, a: int, b: int) -> RatFunc:
+    """The canonical RatFunc (ints/scale) / (q**a * (1+q)**b), for scale > 0.
+
+    No gcd is needed: the only factors ints can share with the
+    denominator are q, cancelled while the constant term is 0, and 1+q,
+    cancelled by synthetic division while the alternating sum is 0.
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    low = 0
+    while low < a and not ints[low]:
+        low += 1
+    if low:
+        ints = ints[low:]
+        a -= low
+    while b and sum(ints[::2]) == sum(ints[1::2]):
+        carry = 0
+        quo = []
+        for c in ints[:-1]:
+            carry = c - carry
+            quo.append(carry)
+        ints = quo
+        b -= 1
+    return _ratfunc(_poly(ints, scale), _form_den(a, b), (a, b))
+
+
+class RatFunc(_Exact):
+    """Element of Q(q) in canonical form (coprime parts, monic denominator).
+
+    The private ``_form`` is (a, b) when the denominator is
+    q**a * (1+q)**b and None otherwise; it selects the gcd-free
+    arithmetic and takes no part in equality or hashing.
+    """
+
+    __slots__ = ("num", "den", "_form")
 
     num: PolyQ
     den: PolyQ
+    _form: tuple[int, int] | None
     _coerce = staticmethod(_as_ratfunc_or_none)
 
     def __init__(self, num: object = 0, den: object = 1):
@@ -456,6 +568,7 @@ class RatFunc(_Exact):
             source = num
             object.__setattr__(self, "num", source.num)
             object.__setattr__(self, "den", source.den)
+            object.__setattr__(self, "_form", source._form)
             return
         n = _as_poly(num)
         d = _as_poly(den)
@@ -463,7 +576,8 @@ class RatFunc(_Exact):
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero:
             object.__setattr__(self, "num", PolyQ())
-            object.__setattr__(self, "den", PolyQ((1,)))
+            object.__setattr__(self, "den", _ONE_DEN)
+            object.__setattr__(self, "_form", (0, 0))
             return
         # n/d = (nu/n_den) / (du/d_den) = (nu * d_den) / (du * n_den).
         nu, du = n._ints, d._ints
@@ -476,8 +590,10 @@ class RatFunc(_Exact):
                 du = _exact_quotient(du, g._ints)
         lead = du[-1]
         scale = d._den if lead > 0 else -d._den
+        den = _monic(list(du))
         object.__setattr__(self, "num", _poly([c * scale for c in nu], n._den * abs(lead)))
-        object.__setattr__(self, "den", _monic(list(du)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_form", _denominator_form(den))
 
     @property
     def is_zero(self) -> bool:
@@ -506,21 +622,37 @@ class RatFunc(_Exact):
         other = _as_ratfunc_or_none(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        f, g = self._form, other._form
+        if f is None or g is None:
+            return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Lift both numerators to q**a * (1+q)**b and one scalar denominator.
+        a, b = max(f[0], g[0]), max(f[1], g[1])
+        da, db = self.num._den, other.num._den
+        scale = math.lcm(da, db)
+        out = _lift(self.num, scale // da, a - f[0], b - f[1])
+        add = _lift(other.num, scale // db, a - g[0], b - g[1])
+        if len(out) < len(add):
+            out, add = add, out
+        for i, c in enumerate(add):
+            out[i] += c
+        return _over_form(out, scale, a, b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _ratfunc(-self.num, self.den, self._form)
 
     def __mul__(self, other: object) -> "RatFunc":
         other = _as_ratfunc_or_none(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        f, g = self._form, other._form
+        if f is None or g is None:
+            return RatFunc(self.num * other.num, self.den * other.den)
+        a, b = self.num, other.num
+        if a.is_zero or b.is_zero:
+            return _ZERO
+        return _over_form(_int_mul(a._ints, b._ints), a._den * b._den, f[0] + g[0], f[1] + g[1])
 
     __rmul__ = __mul__
 
@@ -554,6 +686,14 @@ class RatFunc(_Exact):
         """
         if self.is_zero:
             return self
+        if self._form is not None:
+            # (N/c) / (q**a (1+q)**b) -> q**(a+b-deg N) rev(N) / (c (1+q)**b).
+            a, b = self._form
+            rev = list(reversed(self.num._ints))
+            shift = a + b - self.num.degree
+            if shift >= 0:
+                return _over_form([0] * shift + rev, self.num._den, 0, b)
+            return _over_form(rev, self.num._den, -shift, b)
         shift = self.den.degree - self.num.degree
         num = self.num.reverse()
         den = self.den.reverse()
@@ -565,7 +705,6 @@ class RatFunc(_Exact):
 
     def __call__(self, point: ScalarLike) -> Fraction:
         """Evaluate at a rational point; raises PoleError on a denominator root."""
-        point = Fraction(point)
         dval = self.den(point)
         if dval == 0:
             raise PoleError(f"{point} is a pole of {self}")
@@ -590,6 +729,9 @@ class RatFunc(_Exact):
         if self.den == PolyQ((1,)):
             return self.num.latex()
         return rf"\frac{{{self.num.latex()}}}{{{self.den.latex()}}}"
+
+
+_ZERO = _ratfunc(PolyQ(), _ONE_DEN, (0, 0))
 
 
 def _as_ratfunc(value: object) -> RatFunc:

@@ -199,8 +199,9 @@ def padic_from_rational(r: Fraction, p: int, M: int) -> PAdic:
 
     Raises NonUnitError when p divides the denominator.
     """
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"padic_from_rational needs an int or Fraction: {r!r}")
     _check_parameters(p, M)
-    r = Fraction(r)
     if r.denominator % p == 0:
         raise NonUnitError(
             f"denominator {r.denominator} is divisible by p={p}; "

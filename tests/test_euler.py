@@ -219,8 +219,10 @@ def scalar_frobenius(u0, n_max):
 @settings(max_examples=40, deadline=None)
 @given(rational_points)
 def test_qeuler_numbers_match_scalar_recurrence(q0):
-    expected = scalar_qeuler(q0, 12)
-    assert [euler_number_q(n)(q0) for n in range(13)] == expected
+    expected = scalar_qeuler(q0, 64)
+    assert [euler_number_q(n)(q0) for n in range(65)] == expected
+    expected_inverse = scalar_qeuler(1 / q0, 64)
+    assert [euler_number_q_inverse(n)(q0) for n in range(65)] == expected_inverse
 
 
 #: A Frobenius parameter whose denominators are prime to q(1+q); u(q0) != 1

@@ -13,6 +13,7 @@ from qeuler.exactalg import (
     XPoly,
     binomial,
     make_rational,
+    _denominator_form,
     _exact_quotient,
     poly_gcd,
     q,
@@ -58,6 +59,10 @@ def test_only_int_and_fraction_scalars_are_accepted(bad):
         RatFunc(bad)
     with pytest.raises(TypeError):
         XPoly((bad,))
+    with pytest.raises(TypeError):
+        PolyQ((0, 1))(bad)
+    with pytest.raises(TypeError):
+        (2 / (1 + q))(bad)
 
 
 def test_polyq_trims_trailing_zeros():
@@ -287,3 +292,47 @@ def test_exact_quotient_refuses_a_remainder():
         _exact_quotient([1, 0, 1], [1, 1])
     with pytest.raises(ArithmeticError):
         _exact_quotient([1, 1], [0, 2])
+
+
+# -- gcd-free arithmetic over q^a (1+q)^b against the general gcd ------------
+
+#: q^2 + 3 shares no factor with q(1+q), so its values take the general path.
+GENERAL_DEN = PolyQ((3, 0, 1))
+
+
+@st.composite
+def form_operands(draw):
+    """An integer numerator over q^a (1+q)^b (a, b <= 6), now and then over
+    q^2 + 3, canonicalised through RatFunc(num, den).  The numerator gets
+    extra factors q and 1+q so that sums and products have some to cancel."""
+    num = PolyQ(draw(st.lists(st.integers(-9, 9), max_size=6)))
+    num = num * PolyQ.monomial(draw(st.integers(0, 2))) * PolyQ((1, 1)) ** draw(st.integers(0, 2))
+    num = num * Fraction(1, draw(st.integers(1, 4)))
+    if draw(st.integers(0, 4)) == 0:
+        den = GENERAL_DEN
+    else:
+        den = PolyQ.monomial(draw(st.integers(0, 6))) * PolyQ((1, 1)) ** draw(st.integers(0, 6))
+    return RatFunc(num, den)
+
+
+def _assert_same_storage(value, reference):
+    assert (value.num._ints, value.num._den, value.den._ints, value.den._den) == (
+        reference.num._ints, reference.num._den, reference.den._ints, reference.den._den)
+    assert value._form == _denominator_form(value.den)
+
+
+@settings(max_examples=200)
+@given(form_operands(), form_operands())
+def test_denominator_form_path_matches_general_canonicalisation(f, g):
+    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
+    _assert_same_storage(f + g, RatFunc(n1 * d2 + n2 * d1, d1 * d2))
+    _assert_same_storage(f - g, RatFunc(n1 * d2 - n2 * d1, d1 * d2))
+    _assert_same_storage(f * g, RatFunc(n1 * n2, d1 * d2))
+    _assert_same_storage(-f, RatFunc(-n1, d1))
+    if not g.is_zero:
+        _assert_same_storage(f / g, RatFunc(n1 * d2, d1 * n2))
+    # f(1/q) = rev(n1) q^(deg d1 - deg n1) / rev(d1).
+    shift = d1.degree - n1.degree
+    _assert_same_storage(f.invert_q(), RatFunc(
+        n1.reverse() * PolyQ.monomial(max(shift, 0)),
+        d1.reverse() * PolyQ.monomial(max(-shift, 0))))

@@ -53,6 +53,13 @@ def test_rational_embedding():
         padic_from_rational(Fraction(1, 3), 3, 4)
     with pytest.raises(NonUnitError):
         padic_from_rational(Fraction(1, 10), 5, 2)
+    assert padic_from_rational(7, 5, 2).residue == 7
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, "1/3", 1j, None])
+def test_rational_embedding_accepts_only_int_and_fraction(bad):
+    with pytest.raises(TypeError):
+        padic_from_rational(bad, 5, 3)
 
 
 def test_padic_arithmetic():
