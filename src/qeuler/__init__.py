@@ -7,101 +7,19 @@ symbolic computation, and cross-checks the symbolic results against
 truncated fermionic sums in p-adic arithmetic.
 """
 
-from .bernstein import bernstein_basis, bernstein_operator
-from .euler import (
-    MINUS_Q_INVERSE,
-    EulerCache,
-    classical_euler_number,
-    euler_number_q,
-    euler_number_q_inverse,
-    euler_poly_q,
-    frobenius_euler,
-    table_rows,
-)
-from .exactalg import (
-    PoleError,
-    PolyQ,
-    RatFunc,
-    Rational,
-    XPoly,
-    binomial,
-    make_rational,
-    poly_gcd,
-    q,
-    rational_from_json,
-    rational_to_json,
-    x,
-)
-from .identities import (
-    REGISTRY,
-    IntegrandExpr,
-    SideConditionError,
-    SuiteReport,
-    VerificationResult,
-    default_ranges,
-    moment_reduce,
-    reflection_chain,
-    run_suite,
-    verify_identity,
-)
-from .padic import (
-    CALIBRATED_SLACK,
-    ConvergenceReport,
-    DepthEntry,
-    NonUnitError,
-    PAdic,
-    calibrate_truncation_slack,
-    fermionic_partial_sum,
-    is_odd_prime,
-    padic_from_rational,
-    shift_identity_check_numeric,
-    witt_convergence_check,
-)
+from . import bernstein, euler, exactalg, identities, padic
+from .bernstein import *
+from .euler import *
+from .exactalg import *
+from .identities import *
+from .padic import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CALIBRATED_SLACK",
-    "ConvergenceReport",
-    "DepthEntry",
-    "EulerCache",
-    "IntegrandExpr",
-    "MINUS_Q_INVERSE",
-    "NonUnitError",
-    "PAdic",
-    "PoleError",
-    "PolyQ",
-    "REGISTRY",
-    "RatFunc",
-    "Rational",
-    "SideConditionError",
-    "SuiteReport",
-    "VerificationResult",
-    "XPoly",
-    "bernstein_basis",
-    "bernstein_operator",
-    "binomial",
-    "calibrate_truncation_slack",
-    "classical_euler_number",
-    "default_ranges",
-    "euler_number_q",
-    "euler_number_q_inverse",
-    "euler_poly_q",
-    "fermionic_partial_sum",
-    "frobenius_euler",
-    "is_odd_prime",
-    "make_rational",
-    "moment_reduce",
-    "padic_from_rational",
-    "poly_gcd",
-    "q",
-    "rational_from_json",
-    "rational_to_json",
-    "reflection_chain",
-    "run_suite",
-    "shift_identity_check_numeric",
-    "table_rows",
-    "verify_identity",
-    "witt_convergence_check",
-    "x",
+    *exactalg.__all__,
+    *euler.__all__,
+    *bernstein.__all__,
+    *identities.__all__,
+    *padic.__all__,
 ]

@@ -25,9 +25,7 @@ E_n(q)|_{q=1} = E_n; both links are verified by the identity suite.
 
 Values are memoized in an EulerCache; the shared module-level cache
 stops at index 128, where E_128(q) and E_128(1/q) take under a second.
-Only the five per-value functions
-(euler_number_q, euler_number_q_inverse, euler_poly_q, frobenius_euler,
-classical_euler_number) and the EulerCache methods take a cache; every
+Only frobenius_euler and the EulerCache methods take a cache; every
 other function here, and every caller elsewhere in the package, uses
 the shared module-level cache.
 """
@@ -40,9 +38,9 @@ from fractions import Fraction
 from .exactalg import PolyQ, RatFunc, XPoly, binomial, rational_to_json
 
 __all__ = [
+    "MINUS_Q_INVERSE",
     "EulerCache",
     "IndexCapError",
-    "check_index",
     "euler_number_q",
     "euler_number_q_inverse",
     "euler_poly_q",
@@ -134,51 +132,44 @@ def _convolve_up_to(values: list, n: int, scale: object) -> object:
 _DEFAULT_CACHE = EulerCache()
 
 
-def _cache(cache: EulerCache | None) -> EulerCache:
-    return _DEFAULT_CACHE if cache is None else cache
-
-
-def check_index(n: int) -> None:
-    """Raise IndexCapError when n is above the cap of the shared cache."""
-    _DEFAULT_CACHE._check_index(n)
-
-
-def euler_number_q(n: int, cache: EulerCache | None = None) -> RatFunc:
+def euler_number_q(n: int) -> RatFunc:
     """The n-th q-Euler number E_n(q) as a canonical element of Q(q)."""
-    return _cache(cache).number(n)
+    return _DEFAULT_CACHE.number(n)
 
 
-def euler_number_q_inverse(n: int, cache: EulerCache | None = None) -> RatFunc:
+def euler_number_q_inverse(n: int) -> RatFunc:
     """E_n(1/q): the n-th q-Euler number with q replaced by its inverse."""
-    return _cache(cache).number_inverse(n)
+    return _DEFAULT_CACHE.number_inverse(n)
 
 
-def euler_poly_q(n: int, cache: EulerCache | None = None) -> XPoly:
+def euler_poly_q(n: int) -> XPoly:
     """The n-th q-Euler polynomial sum_l C(n,l) E_l(q) x^(n-l).
 
     Its x^n coefficient is E_0(q) = 2/(q+1), so the degree is exactly n,
     and its value at x = 0 is E_n(q).
     """
-    store = _cache(cache)
-    store._check_index(n)
-    coeffs = [binomial(n, j) * store.number(n - j) for j in range(n + 1)]
+    _DEFAULT_CACHE._check_index(n)
+    coeffs = [binomial(n, j) * _DEFAULT_CACHE.number(n - j) for j in range(n + 1)]
     return XPoly(coeffs)
 
 
 def frobenius_euler(n: int, u: RatFunc, cache: EulerCache | None = None) -> RatFunc:
     """The n-th Frobenius-Euler number H_n(u) for a parameter u != 1 in Q(q)."""
-    return _cache(cache).frobenius(n, u)
+    return (_DEFAULT_CACHE if cache is None else cache).frobenius(n, u)
 
 
-def classical_euler_number(n: int, cache: EulerCache | None = None) -> Fraction:
+def classical_euler_number(n: int) -> Fraction:
     """The n-th classical Euler number E_n (value of the Euler polynomial at 0)."""
-    return _cache(cache).classical(n)
+    return _DEFAULT_CACHE.classical(n)
 
 
 def _table_values(n_max: int) -> list[tuple[int, RatFunc, Fraction, RatFunc]]:
-    """(n, E_n(q), E_n(1), H_n(-1/q)) for n = 0 .. n_max, exact."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    """(n, E_n(q), E_n(1), H_n(-1/q)) for n = 0 .. n_max, exact.
+
+    n_max is checked against the shared cache's cap before any value is
+    computed.
+    """
+    _DEFAULT_CACHE._check_index(n_max)
     rows = []
     for n in range(n_max + 1):
         e = _DEFAULT_CACHE.number(n)

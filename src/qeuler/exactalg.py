@@ -206,6 +206,8 @@ class PolyQ(_Exact):
         return NotImplemented
 
     def __hash__(self) -> int:
+        if len(self._ints) <= 1:  # equal to a scalar, so hash as one
+            return hash(self.lead if self._ints else 0)
         return hash(("PolyQ", self._ints, self._den))
 
     def __add__(self, other: object) -> "PolyQ":
@@ -616,6 +618,8 @@ class RatFunc(_Exact):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        if self.den.degree == 0:  # a polynomial: hash as one
+            return hash(self.num)
         return hash(("RatFunc", self.num, self.den))
 
     def __add__(self, other: object) -> "RatFunc":
@@ -785,6 +789,8 @@ class XPoly(_Exact):
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        if len(self.coeffs) <= 1:  # equal to its constant term
+            return hash(self.coeff(0))
         return hash(("XPoly", self.coeffs))
 
     def __add__(self, other: object) -> "XPoly":

@@ -70,6 +70,7 @@ __all__ = [
     "verify_identity",
     "default_ranges",
     "run_suite",
+    "reflection_chain",
     "SuiteReport",
     "ExploratoryRecord",
     "BranchNote",

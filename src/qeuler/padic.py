@@ -360,14 +360,9 @@ def shift_identity_check_numeric(
     and the two sides agree only up to truncation error, so callers
     should read the valuation, not demand exact equality.
     """
-    _check_parameters(p, M)
-    _check_base(q0, p)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if nshift < 1:
         raise ValueError("nshift must be at least 1")
-    if N < 1:
-        raise ValueError("depth N must be at least 1")
+    _check_sum(m, nshift, q0, p, N, M)
     pm = p**M
     *_, shifted = _partial_sums(m, nshift, q0, p, N, M)
     *_, plain = _partial_sums(m, 0, q0, p, N, M)

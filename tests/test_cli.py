@@ -267,6 +267,15 @@ def test_out_unwritable_is_io_error(capsys):
     assert "cannot write" in err
 
 
+# Inputs the library refuses with a ValueError; main reports each as one line.
+LIBRARY_REFUSALS = [
+    ["padic", "--p", "9"],
+    ["padic", "--p", "3", "--q0", "2"],
+    ["table", "--n-max", "129"],
+    ["verify", "--id", "bogus"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["bogus-subcommand"],
@@ -274,10 +283,14 @@ def test_out_unwritable_is_io_error(capsys):
     ["table", "--format", "yaml"],
     ["padic", "--p", "0"],
     ["verify", "--s-max", "0"],
+    *LIBRARY_REFUSALS,
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, _ = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
+    if argv in LIBRARY_REFUSALS:
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class _ClosedPipe:
@@ -329,11 +342,14 @@ def test_broken_pipe_through_a_real_pipe(n_max, read):
     ["verify", "--id", "eq9", "--n-max", "6"],
 ])
 def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
-    monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache(n_max=5))
+    cache = EulerCache(n_max=5)
+    monkeypatch.setattr(euler, "_DEFAULT_CACHE", cache)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "n_max=5" in err
+    if argv[0] == "table":  # refused before any value beyond E_0 is computed
+        assert len(cache._numbers) == 1
 
 
 def test_module_entry_point():

@@ -155,6 +155,20 @@ def test_xpoly_invert_q_coefficientwise():
     assert p.invert_q() == XPoly(((2 * q) / (1 + q), 1 / q))
 
 
+@pytest.mark.parametrize("coeffs", [(), (1,), (-1,), (Fraction(1, 2),), (0, 1)])
+def test_equal_values_hash_equal_across_kinds(coeffs):
+    poly = PolyQ(coeffs)
+    forms = [poly, RatFunc(poly), XPoly((RatFunc(poly),))]
+    if poly.degree <= 0:
+        forms.append(poly.lead if coeffs else 0)
+    for a in forms:
+        for b in forms:
+            assert a == b
+            assert hash(a) == hash(b)
+    assert len(set(forms)) == 1
+    assert {forms[-1]: "value"}.get(forms[0]) == "value"
+
+
 def test_json_round_trips():
     f = (4 * q + 2) / (q + 1) ** 2
     assert RatFunc.from_json(f.to_json()) == f
