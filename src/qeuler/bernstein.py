@@ -20,6 +20,11 @@ def bernstein_basis(k: int, n: int) -> XPoly:
     Expanded by the binomial theorem: the x^(k+j) coefficient is
     C(n,k) * C(n-k,j) * (-1)^j.  Raises ValueError unless 0 <= k <= n.
     """
+    return XPoly(_bernstein_ints(k, n))
+
+
+def _bernstein_ints(k: int, n: int) -> list[int]:
+    """The integer coefficients of B_{k,n}, index i holding that of x^i."""
     if n < 0 or k < 0:
         raise ValueError("bernstein_basis needs nonnegative k and n")
     if k > n:
@@ -28,7 +33,7 @@ def bernstein_basis(k: int, n: int) -> XPoly:
     coeffs = [0] * (n + 1)
     for j in range(n - k + 1):
         coeffs[k + j] = lead * binomial(n - k, j) * (-1) ** j
-    return XPoly(coeffs)
+    return coeffs
 
 
 def bernstein_operator(samples: Sequence[Rational | int], n: int) -> XPoly:

@@ -20,9 +20,11 @@ Three subcommands:
     floor is reported (the LaTeX ``mono`` column) but does not fail.
 
 Exit codes: 0 success, 1 an identity or convergence check failed,
-2 usage error, 3 output could not be written.  Exit 2 covers any input
-the library refuses with a ValueError; ``main`` prints its message as
-one stderr line.  Only checks the library does not make live here.
+2 usage error, 3 output could not be written, 4 internal error.  Exit 2
+covers any input the library refuses with a ValueError; any other
+exception is a fault of the program and exits 4.  Either way ``main``
+prints one stderr line and no traceback.  Only checks the library does
+not make live here.
 """
 
 from __future__ import annotations
@@ -328,6 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValueError as exc:  # the library refused an input
         return _usage_error(str(exc))
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -32,10 +32,12 @@ the shared module-level cache.
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
+from typing import Callable
 
-from .exactalg import PolyQ, RatFunc, XPoly, binomial, rational_to_json
+from .exactalg import PolyQ, RatFunc, XPoly, binomial, lincomb, rational_to_json
 
 __all__ = [
     "MINUS_Q_INVERSE",
@@ -91,7 +93,7 @@ class EulerCache:
     def number(self, n: int) -> RatFunc:
         self._check_index(n)
         with self._lock:
-            return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q)
+            return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q, lincomb)
 
     def number_inverse(self, n: int) -> RatFunc:
         """E_n(1/q), the image of the n-th q-Euler number under q -> 1/q."""
@@ -105,7 +107,7 @@ class EulerCache:
     def classical(self, n: int) -> Fraction:
         self._check_index(n)
         with self._lock:
-            return _convolve_up_to(self._classical, n, Fraction(-1, 2))
+            return _convolve_up_to(self._classical, n, Fraction(-1, 2), _fraction_lincomb)
 
     def frobenius(self, n: int, u: RatFunc) -> RatFunc:
         self._check_index(n)
@@ -114,22 +116,32 @@ class EulerCache:
             raise ValueError("u = 1 is a pole of the Frobenius-Euler family")
         with self._lock:
             values = self._frobenius.setdefault(u, [RatFunc(1)])
-            return _convolve_up_to(values, n, 1 / (u - 1))
+            return _convolve_up_to(values, n, 1 / (u - 1), lincomb)
 
 
-def _convolve_up_to(values: list, n: int, scale: object) -> object:
+def _convolve_up_to(values: list, n: int, scale: object, total: Callable) -> object:
     """Extend the seeded list to index n by the solved umbral relation
-    v_m = scale * sum_{l<m} C(m,l) v_l, and return v_n."""
+    v_m = scale * sum_{l<m} C(m,l) v_l, and return v_n.
+
+    ``total(coeffs, values)`` is the sum of the products of the pairs:
+    ``lincomb`` for values in Q(q), ``_fraction_lincomb`` for rationals.
+    """
     while len(values) <= n:
         m = len(values)
-        acc = values[0]
-        for l in range(1, m):
-            acc = acc + binomial(m, l) * values[l]
-        values.append(scale * acc)
+        values.append(scale * total([binomial(m, l) for l in range(m)], values))
     return values[n]
 
 
+def _fraction_lincomb(coeffs: list[int], values: list[Fraction]) -> Fraction:
+    return sum(map(operator.mul, coeffs, values), Fraction(0))
+
+
 _DEFAULT_CACHE = EulerCache()
+
+
+def _check_cap(n: int) -> None:
+    """Raise IndexCapError, before any work, when n is above the shared cap."""
+    _DEFAULT_CACHE._check_index(n)
 
 
 def euler_number_q(n: int) -> RatFunc:
@@ -148,7 +160,7 @@ def euler_poly_q(n: int) -> XPoly:
     Its x^n coefficient is E_0(q) = 2/(q+1), so the degree is exactly n,
     and its value at x = 0 is E_n(q).
     """
-    _DEFAULT_CACHE._check_index(n)
+    _check_cap(n)
     coeffs = [binomial(n, j) * _DEFAULT_CACHE.number(n - j) for j in range(n + 1)]
     return XPoly(coeffs)
 
@@ -169,7 +181,7 @@ def _table_values(n_max: int) -> list[tuple[int, RatFunc, Fraction, RatFunc]]:
     n_max is checked against the shared cache's cap before any value is
     computed.
     """
-    _DEFAULT_CACHE._check_index(n_max)
+    _check_cap(n_max)
     rows = []
     for n in range(n_max + 1):
         e = _DEFAULT_CACHE.number(n)

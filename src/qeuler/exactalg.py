@@ -33,6 +33,13 @@ Representation conventions used throughout the package:
   operand with another denominator, goes through ``RatFunc(num, den)``,
   whose ``poly_gcd`` canonicalisation then detects the form of its
   result once.
+* ``lincomb(coeffs, values)`` is the n-ary sum of c_i * v_i, for the
+  integer combinations of q-Euler numbers that every identity is made
+  of.  When every term carries a form it lifts all the integer
+  numerators to the common q**A * (1+q)**B in one Horner pass over the
+  (1+q) exponents, in ascending order, with each q-shift a plain offset,
+  and strips the sum once; ``+`` on two form values is its two-term
+  case.  A term without a form makes it fall back to ``+`` and ``*``.
 * ``XPoly`` is a dense polynomial in a second variable x whose
   coefficients are RatFunc values, with the same trailing-zero
   convention as PolyQ.
@@ -44,6 +51,7 @@ every integer as a decimal string so round-trips never lose precision.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
@@ -58,6 +66,7 @@ __all__ = [
     "PolyQ",
     "poly_gcd",
     "RatFunc",
+    "lincomb",
     "XPoly",
     "q",
     "x",
@@ -507,17 +516,74 @@ def _ratfunc(num: PolyQ, den: PolyQ, form: tuple[int, int] | None) -> RatFunc:
     return out
 
 
-def _lift(num: PolyQ, scale: int, shift: int, power: int) -> list[int]:
-    """The integers of num times scale * q**shift * (1+q)**power, as a new list.
+#: One term of a sum over forms: (ints, mult, den, a, b) is the value
+#: mult * ints / (den * q**a * (1+q)**b), with den > 0.
+_FormTerm = tuple[Sequence[int], int, int, int, int]
 
-    Each factor 1+q is one pass of shifted additions, which is cheaper
-    than a product with the binomial row when power is small, as it
-    mostly is.
+
+def _sum_over_forms(terms: list[_FormTerm]) -> RatFunc:
+    """The canonical sum of the nonempty list of terms, without a gcd.
+
+    Every numerator is lifted to the common q**A * (1+q)**B in one Horner
+    pass over the (1+q) exponents: the terms are taken in ascending b,
+    the running sum is multiplied by 1+q (one pass of shifted additions)
+    as b rises, and each term is added at the offset A - a, so a factor q
+    costs nothing.  The sum is stripped once, by ``_over_form``.
     """
-    ints = [c * scale for c in num._ints]
-    for _ in range(power):
-        ints = [c + d for c, d in zip(ints + [0], [0] + ints)]
-    return [0] * shift + ints
+    terms.sort(key=lambda term: term[4])
+    a_top = max(term[3] for term in terms)
+    scale = math.lcm(*(term[2] for term in terms))
+    acc: list[int] = []
+    level = terms[0][4]
+    for ints, mult, den, a, b in terms:
+        for _ in range(b - level):
+            acc = list(map(operator.add, acc + [0], [0] + acc))
+        level = b
+        mult *= scale // den
+        start = a_top - a
+        end = start + len(ints)
+        if len(acc) < end:
+            acc.extend([0] * (end - len(acc)))
+        acc[start:end] = [s + mult * c for s, c in zip(acc[start:end], ints)]
+    return _over_form(acc, scale, a_top, level)
+
+
+def lincomb(coeffs: Iterable[object], values: Iterable[object]) -> RatFunc:
+    """The exact sum of c * v over the pairs of coeffs and values.
+
+    Each coefficient is an int or an element of Q(q), each value an
+    element of Q(q); both sequences have the same length.  When every
+    nonzero term has a denominator q**a * (1+q)**b the sum is built by
+    ``_sum_over_forms``, one lift and one strip in all; otherwise it is
+    the left fold of ``+`` and ``*``.  The result is the same either way.
+    """
+    pairs = [(c if type(c) is int else _as_ratfunc(c), _as_ratfunc(v))
+             for c, v in zip(coeffs, values, strict=True)]
+    terms: list[_FormTerm] = []
+    for c, v in pairs:
+        if not c or v.is_zero:
+            continue
+        if v._form is None:
+            break
+        a, b = v._form
+        vn = v.num
+        if type(c) is int:
+            terms.append((vn._ints, c, vn._den, a, b))
+            continue
+        if c._form is None:
+            break
+        cn = c.num
+        if len(cn._ints) == 1:  # a constant numerator only scales
+            mult, ints = cn._ints[0], vn._ints
+        else:
+            mult, ints = 1, _int_mul(cn._ints, vn._ints)
+        terms.append((ints, mult, cn._den * vn._den, a + c._form[0], b + c._form[1]))
+    else:
+        return _sum_over_forms(terms) if terms else _ZERO
+    acc = _ZERO
+    for c, v in pairs:
+        acc = acc + c * v
+    return acc
 
 
 def _over_form(ints: list[int], scale: int, a: int, b: int) -> RatFunc:
@@ -629,17 +695,8 @@ class RatFunc(_Exact):
         f, g = self._form, other._form
         if f is None or g is None:
             return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-        # Lift both numerators to q**a * (1+q)**b and one scalar denominator.
-        a, b = max(f[0], g[0]), max(f[1], g[1])
-        da, db = self.num._den, other.num._den
-        scale = math.lcm(da, db)
-        out = _lift(self.num, scale // da, a - f[0], b - f[1])
-        add = _lift(other.num, scale // db, a - g[0], b - g[1])
-        if len(out) < len(add):
-            out, add = add, out
-        for i, c in enumerate(add):
-            out[i] += c
-        return _over_form(out, scale, a, b)
+        a, b = self.num, other.num
+        return _sum_over_forms([(a._ints, 1, a._den, *f), (b._ints, 1, b._den, *g)])
 
     __radd__ = __add__
 

@@ -50,15 +50,16 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .bernstein import bernstein_basis
+from .bernstein import _bernstein_ints, bernstein_basis
 from .euler import (
     MINUS_Q_INVERSE,
+    _check_cap,
     euler_number_q,
     euler_number_q_inverse,
     euler_poly_q,
     frobenius_euler,
 )
-from .exactalg import RatFunc, XPoly, binomial, q
+from .exactalg import RatFunc, XPoly, _int_mul, binomial, lincomb, q
 
 __all__ = [
     "SideConditionError",
@@ -102,11 +103,8 @@ def moment_reduce(expr: IntegrandExpr) -> RatFunc:
     Linear in the polynomial part; the result is exact in Q(q).
     """
     moment = euler_number_q if expr.qsign == 1 else euler_number_q_inverse
-    acc = RatFunc(0)
-    for j, c in enumerate(expr.poly.coeffs):
-        if not c.is_zero:
-            acc = acc + c * moment(j)
-    return q**expr.qshift * acc
+    coeffs = expr.poly.coeffs
+    return q**expr.qshift * lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,9 @@ class Identity:
     ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
     k = 0; ``closed_form`` picks between them, and ``run_suite`` also
     evaluates ``rhs`` at k = 0 for the informational branch notes.
+    ``max_index(bounds)`` is the largest q-Euler index any tuple of the
+    grid asks for (None when the identity asks for none); ``run_suite``
+    checks it against the cap of the shared cache before any case runs.
     """
 
     tag: str
@@ -171,6 +172,7 @@ class Identity:
     rhs: Callable[[Params], object]
     admissible: Callable[[Params], bool] = lambda params: True
     rhs_k0: Callable[[Params], object] | None = None
+    max_index: Callable[[Bounds], int] | None = None
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -215,21 +217,28 @@ def _check_params(identity: Identity, params: Params) -> Params:
     return params
 
 
-# closed-form helpers
+# integrand helpers: integer coefficient lists in x, made an XPoly once
+
+def _int_power(base: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _int_mul(out, base)
+    return out
+
 
 def _one_minus_x_power(n: int) -> XPoly:
-    return XPoly((1, -1)) ** n
+    return XPoly(_int_power([1, -1], n))
 
 
 def _x_plus_constant_power(c: int, n: int) -> XPoly:
-    return XPoly((c, 1)) ** n
+    return XPoly(_int_power([c, 1], n))
 
 
 def _basis_product(ns: Sequence[int], k: int) -> XPoly:
-    poly = XPoly((1,))
+    ints = [1]
     for n in ns:
-        poly = poly * bernstein_basis(k, n)
-    return poly
+        ints = _int_mul(ints, _bernstein_ints(k, n))
+    return XPoly(ints)
 
 
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
@@ -242,9 +251,8 @@ def _eq2_lhs(params: Params) -> RatFunc:
 def _eq2_rhs(params: Params) -> RatFunc:
     m, nshift = params
     acc = RatFunc((-1) ** nshift) * euler_number_q(m)
-    boundary = RatFunc(0)
-    for l in range(nshift):
-        boundary = boundary + RatFunc((-1) ** (nshift - 1 - l) * l**m) * q**l
+    boundary = lincomb([(-1) ** (nshift - 1 - l) * l**m for l in range(nshift)],
+                       [q**l for l in range(nshift)])
     return acc + 2 * boundary
 
 
@@ -305,9 +313,9 @@ def _eq14_lhs(params: Params) -> RatFunc:
 
 def _eq14_rhs(params: Params) -> RatFunc:
     n, k = params
-    acc = RatFunc(0)
-    for j in range(n - k + 1):
-        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q(k + j)
+    js = range(n - k + 1)
+    acc = lincomb([binomial(n - k, j) * (-1) ** j for j in js],
+                  [euler_number_q(k + j) for j in js])
     return binomial(n, k) * acc
 
 
@@ -332,9 +340,9 @@ def _thm4_lhs(params: Params) -> RatFunc:
 
 def _thm4_rhs(params: Params) -> RatFunc:
     n, k = params
-    acc = RatFunc(0)
-    for j in range(k + 1):
-        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j)
+    js = range(k + 1)
+    acc = lincomb([binomial(k, j) * (-1) ** (k - j) for j in js],
+                  [euler_number_q(n - j) for j in js])
     return binomial(n, k) * acc
 
 
@@ -347,17 +355,16 @@ def _thm4_rhs_k0(params: Params) -> RatFunc:
 
 def _cor5_lhs(params: Params) -> RatFunc:
     n, k = params
-    acc = RatFunc(0)
-    for j in range(n - k + 1):
-        acc = acc + binomial(n - k, j) * (-1) ** j * euler_number_q_inverse(k + j)
-    return acc
+    js = range(n - k + 1)
+    return lincomb([binomial(n - k, j) * (-1) ** j for j in js],
+                   [euler_number_q_inverse(k + j) for j in js])
 
 
 def _cor5_rhs(params: Params) -> RatFunc:
     n, k = params
-    acc = RatFunc(0)
-    for j in range(k + 1):
-        acc = acc + binomial(k, j) * (-1) ** (k - j) * euler_number_q(n - j)
+    js = range(k + 1)
+    acc = lincomb([binomial(k, j) * (-1) ** (k - j) for j in js],
+                  [euler_number_q(n - j) for j in js])
     return (1 / q) * acc
 
 
@@ -370,16 +377,15 @@ def _cor5_rhs_k0(params: Params) -> RatFunc:
 
 def _thm6_lhs(params: Params) -> RatFunc:
     n, m, k = params
-    return moment_reduce(
-        IntegrandExpr(-1, 1, bernstein_basis(k, n) * bernstein_basis(k, m))
-    )
+    product = _int_mul(_bernstein_ints(k, n), _bernstein_ints(k, m))
+    return moment_reduce(IntegrandExpr(-1, 1, XPoly(product)))
 
 
 def _thm6_rhs(params: Params) -> RatFunc:
     n, m, k = params
-    acc = RatFunc(0)
-    for j in range(2 * k + 1):
-        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(n + m - j)
+    js = range(2 * k + 1)
+    acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
+                  [euler_number_q(n + m - j) for j in js])
     return binomial(n, k) * binomial(m, k) * acc
 
 
@@ -392,19 +398,16 @@ def _thm6_rhs_k0(params: Params) -> RatFunc:
 
 def _cor7_lhs(params: Params) -> RatFunc:
     n, m, k = params
-    acc = RatFunc(0)
-    for j in range(n + m - 2 * k + 1):
-        acc = acc + binomial(n + m - 2 * k, j) * (-1) ** j * euler_number_q_inverse(
-            j + 2 * k
-        )
-    return acc
+    js = range(n + m - 2 * k + 1)
+    return lincomb([binomial(n + m - 2 * k, j) * (-1) ** j for j in js],
+                   [euler_number_q_inverse(j + 2 * k) for j in js])
 
 
 def _cor7_rhs(params: Params) -> RatFunc:
     n, m, k = params
-    acc = RatFunc(0)
-    for j in range(2 * k + 1):
-        acc = acc + binomial(2 * k, j) * (-1) ** (j + 2 * k) * euler_number_q(n + m - j)
+    js = range(2 * k + 1)
+    acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
+                  [euler_number_q(n + m - j) for j in js])
     return (1 / q) * acc
 
 
@@ -428,9 +431,9 @@ def _thm8_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
-    acc = RatFunc(0)
-    for j in range(s * k + 1):
-        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(total - j)
+    js = range(s * k + 1)
+    acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
+                  [euler_number_q(total - j) for j in js])
     lead = 1
     for n in ns:
         lead *= binomial(n, k)
@@ -448,21 +451,18 @@ def _cor9_lhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
-    acc = RatFunc(0)
-    for j in range(total - s * k + 1):
-        acc = acc + binomial(total - s * k, j) * (-1) ** j * euler_number_q_inverse(
-            j + s * k
-        )
-    return acc
+    js = range(total - s * k + 1)
+    return lincomb([binomial(total - s * k, j) * (-1) ** j for j in js],
+                   [euler_number_q_inverse(j + s * k) for j in js])
 
 
 def _cor9_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
     s = len(ns)
     total = sum(ns)
-    acc = RatFunc(0)
-    for j in range(s * k + 1):
-        acc = acc + binomial(s * k, j) * (-1) ** (s * k + j) * euler_number_q(total - j)
+    js = range(s * k + 1)
+    acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
+                  [euler_number_q(total - j) for j in js])
     return (1 / q) * acc
 
 
@@ -487,6 +487,7 @@ _register(
         "boundary sum of q^l l^m"
     ),
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
+    max_index=lambda b: b["m"],
     admissible=lambda p: p[1] >= 1,
     lhs=_eq2_lhs,
     rhs=_eq2_rhs,
@@ -496,6 +497,7 @@ _register(
     tag="eq9_frobenius",
     description="E_n(q) = (2/(1+q)) H_n(-1/q)",
     bounds=(("n", "n", 10),),
+    max_index=lambda b: b["n"],
     lhs=_eq9_lhs,
     rhs=_eq9_rhs,
 )
@@ -504,6 +506,7 @@ _register(
     tag="thm1_reflection",
     description="(-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise in x",
     bounds=(("n", "n", 8),),
+    max_index=lambda b: b["n"],
     lhs=_thm1_lhs,
     rhs=_thm1_rhs,
 )
@@ -512,6 +515,7 @@ _register(
     tag="thm2_value_at_two",
     description="q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1",
     bounds=(("n", "n", 8),),
+    max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
     lhs=_thm2_lhs,
     rhs=_thm2_rhs,
@@ -524,6 +528,7 @@ _register(
         "for n >= 1"
     ),
     bounds=(("n", "n", 8),),
+    max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
     lhs=_thm3_lhs,
     rhs=_thm3_rhs,
@@ -536,6 +541,7 @@ _register(
         "sum of E_{k+j}(q), j up to n-k"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
+    max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
     lhs=_eq14_lhs,
     rhs=_eq14_rhs,
@@ -556,6 +562,7 @@ _register(
         "else C(n,k) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
+    max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
     lhs=_thm4_lhs,
     rhs=_thm4_rhs,
@@ -569,6 +576,7 @@ _register(
         "when k = 0, else (1/q) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
+    max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
     lhs=_cor5_lhs,
     rhs=_cor5_rhs,
@@ -583,6 +591,7 @@ _register(
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
+    max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     lhs=_thm6_lhs,
     rhs=_thm6_rhs,
@@ -597,6 +606,7 @@ _register(
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
+    max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     lhs=_cor7_lhs,
     rhs=_cor7_rhs,
@@ -612,6 +622,7 @@ _register(
         "params are (n_1, ..., n_s, k)"
     ),
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
+    max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_thm8_lhs,
     rhs=_thm8_rhs,
@@ -627,6 +638,7 @@ _register(
         "(n_1, ..., n_s, k)"
     ),
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
+    max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_cor9_lhs,
     rhs=_cor9_rhs,
@@ -780,6 +792,10 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     unknown = set(ranges) - set(REGISTRY)
     if unknown:
         raise ValueError(f"unknown identities in ranges: {sorted(unknown)}")
+    # Every cross-check reads q-Euler values within the grids of the
+    # identities it relates, so the stated maxima cover them too.
+    _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()
+                    if REGISTRY[tag].max_index is not None), default=0))
     report = SuiteReport()
     results: dict[tuple[str, Params], VerificationResult] = {}
     for tag, identity in REGISTRY.items():

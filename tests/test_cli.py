@@ -348,8 +348,17 @@ def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "n_max=5" in err
-    if argv[0] == "table":  # refused before any value beyond E_0 is computed
-        assert len(cache._numbers) == 1
+    assert len(cache._numbers) == 1  # refused before any value beyond E_0
+
+
+def test_internal_error_is_one_line_and_exit_4(monkeypatch, capsys):
+    def broken(ranges):
+        raise RuntimeError("boom\nsecond line")
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, out, err = run(capsys, ["verify", "--id", "eq9"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom second line\n"
 
 
 def test_module_entry_point():

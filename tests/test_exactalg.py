@@ -15,6 +15,7 @@ from qeuler.exactalg import (
     make_rational,
     _denominator_form,
     _exact_quotient,
+    lincomb,
     poly_gcd,
     q,
     rational_from_json,
@@ -350,3 +351,54 @@ def test_denominator_form_path_matches_general_canonicalisation(f, g):
     _assert_same_storage(f.invert_q(), RatFunc(
         n1.reverse() * PolyQ.monomial(max(shift, 0)),
         d1.reverse() * PolyQ.monomial(max(-shift, 0))))
+
+
+# -- the n-ary sum against the left fold of + and * ---------------------------
+
+
+@st.composite
+def lincomb_operands(draw):
+    """Coefficients (ints or form_operands values) and values (form_operands),
+    with zero terms and, now and then, a last value that cancels the sum so
+    far down to a numerator with factors q and 1+q to strip."""
+    values = draw(st.lists(form_operands(), max_size=5))
+    coeffs = [draw(st.one_of(st.integers(-3, 3), form_operands())) for _ in values]
+    if values and draw(st.booleans()):
+        target = draw(form_operands())
+        values.append(target - _fold(coeffs, values))
+        coeffs.append(1)
+    return coeffs, values
+
+
+def _fold(coeffs, values):
+    acc = RatFunc(0)
+    for c, v in zip(coeffs, values):
+        acc = acc + c * v
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(lincomb_operands())
+def test_lincomb_matches_left_fold(operands):
+    coeffs, values = operands
+    total = lincomb(coeffs, values)
+    _assert_same_storage(total, _fold(coeffs, values))
+    # and the same sum canonicalised once through RatFunc(num, den)
+    num, den = PolyQ(), PolyQ((1,))
+    for c, v in zip(coeffs, values):
+        c = RatFunc(c)
+        num, den = num * c.den * v.den + c.num * v.num * den, den * c.den * v.den
+    _assert_same_storage(total, RatFunc(num, den))
+
+
+def test_lincomb_edge_cases():
+    assert lincomb([], []) == 0
+    assert lincomb([0, 2], [q, RatFunc(0)]) == 0
+    # 1/(1+q) + q/(1+q) = 1: a (1+q) strip; q/(q(1+q)) - 1/(1+q) = 0
+    half = RatFunc(1, PolyQ((1, 1)))
+    _assert_same_storage(lincomb([1, q], [half, half]), RatFunc(1))
+    _assert_same_storage(lincomb([1, -1], [q / (q * (1 + q)), half]), RatFunc(0))
+    # coefficients may be Fractions; values ints
+    assert lincomb([Fraction(1, 2), 3], [4, q]) == 2 + 3 * q
+    with pytest.raises(ValueError):
+        lincomb([1, 2], [q])

@@ -9,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler.euler import euler_number_q, euler_number_q_inverse
-from qeuler.exactalg import RatFunc, XPoly, q, x
+from qeuler import euler
+from qeuler.bernstein import bernstein_basis
+from qeuler.euler import EulerCache, euler_number_q, euler_number_q_inverse
+from qeuler.exactalg import PolyQ, RatFunc, XPoly, q, x
 from qeuler.identities import (
     REGISTRY,
     IntegrandExpr,
     SideConditionError,
+    _basis_product,
+    _one_minus_x_power,
+    _thm6_lhs,
+    _x_plus_constant_power,
     default_ranges,
     moment_reduce,
     reflection_chain,
@@ -70,6 +76,49 @@ def test_moment_is_linear(a, b, c, qsign, qshift):
 
     assert mom(a + b) == mom(a) + mom(b)
     assert mom(a * RatFunc(c)) == RatFunc(c) * mom(a)
+
+
+def test_moment_reduce_general_coefficients_match_termwise_fold():
+    # the public IntegrandExpr path: coefficients that are not integers,
+    # one of them outside the q^a (1+q)^b denominators
+    u = RatFunc(PolyQ((2, 1)), PolyQ((3, 0, 1)))
+    w = RatFunc(1, PolyQ((1, 1)))
+    for coeffs in ([u], [w, 0, u], [u, w, 3, w * u], [0, 0, w]):
+        poly = XPoly(coeffs)
+        for qsign, moment in ((1, euler_number_q), (-1, euler_number_q_inverse)):
+            for qshift in (0, 1, 3):
+                acc = RatFunc(0)
+                for j, c in enumerate(coeffs):
+                    acc = acc + c * moment(j)
+                expected = q**qshift * acc
+                got = moment_reduce(IntegrandExpr(qsign, qshift, poly))
+                assert (got.num, got.den) == (expected.num, expected.den)
+
+
+# -- integrands built on integer lists -----------------------------------
+
+
+def test_integer_integrands_match_xpoly_products():
+    for n in range(7):
+        assert _one_minus_x_power(n) == XPoly((1, -1)) ** n
+        for c in range(-2, 5):
+            assert _x_plus_constant_power(c, n) == XPoly((c, 1)) ** n
+    for s in (1, 2, 3):
+        for ns in itertools.product(range(7), repeat=s):
+            if s == 3 and list(ns) != sorted(ns):
+                continue  # the product does not depend on the order
+            for k in range(min(ns) + 1):
+                expected = XPoly((1,))
+                for n in ns:
+                    expected = expected * bernstein_basis(k, n)
+                assert _basis_product(ns, k) == expected
+
+
+def test_thm6_integrand_is_the_product_of_its_two_factors():
+    for n, m in itertools.product(range(5), repeat=2):
+        for k in range(min(n, m) + 1):
+            integrand = bernstein_basis(k, n) * bernstein_basis(k, m)
+            assert _thm6_lhs((n, m, k)) == moment_reduce(IntegrandExpr(-1, 1, integrand))
 
 
 # -- verify_identity ---------------------------------------------------
@@ -391,3 +440,44 @@ def test_suite_json_keys():
     out = report.to_json()
     assert set(out) == {"cases", "passed", "failed", "skipped", "failures",
                         "exploratory", "branch_notes"}
+
+
+# -- the largest q-Euler index of each grid ------------------------------
+
+
+@pytest.mark.parametrize("caps", [
+    {"n_max": 3, "m_max": 2, "k_max": 2, "s_max": 2},
+    {"n_max": 2, "m_max": 3, "k_max": 1, "s_max": 3},
+])
+def test_stated_max_index_is_the_largest_index_requested(monkeypatch, caps):
+    requested = []
+    for name in ("number", "number_inverse", "frobenius"):
+        def traced(self, n, *rest, method=getattr(EulerCache, name)):
+            requested.append(n)
+            return method(self, n, *rest)
+        monkeypatch.setattr(EulerCache, name, traced)
+    ranges = default_ranges(**caps)
+    for tag, bounds in ranges.items():
+        monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache())
+        requested.clear()
+        run_suite({tag: bounds})
+        stated = REGISTRY[tag].max_index
+        assert max(requested, default=None) == (stated and stated(bounds)), tag
+    requested.clear()
+    run_suite(ranges)  # with the cross-checks
+    assert max(requested) == max(identity.max_index(ranges[tag])
+                                 for tag, identity in REGISTRY.items()
+                                 if identity.max_index is not None)
+
+
+def test_suite_refuses_an_index_above_the_cap_before_any_case(monkeypatch):
+    cache = EulerCache(n_max=5)
+    monkeypatch.setattr(euler, "_DEFAULT_CACHE", cache)
+    for ranges in ({"eq9_frobenius": {"n": 6}},
+                   {"thm6": {"n": 3, "m": 3, "k": 1}},
+                   {"thm8": {"s": 3, "n": 2, "k": 0}},
+                   {"eq2_symbolic": {"m": 6, "nshift": 1}}):
+        with pytest.raises(euler.IndexCapError, match="n_max=5"):
+            run_suite(ranges)
+        assert len(cache._numbers) == 1
+    run_suite({"eq2_symbolic": {"m": 5, "nshift": 9}, "eq15_symmetry": {"n": 9, "k": 9}})
