@@ -20,11 +20,11 @@ Three subcommands:
     floor is reported (the LaTeX ``mono`` column) but does not fail.
 
 Exit codes: 0 success, 1 an identity or convergence check failed,
-2 usage error, 3 output could not be written, 4 internal error.  Exit 2
-covers any input the library refuses with a ValueError; any other
-exception is a fault of the program and exits 4.  Either way ``main``
-prints one stderr line and no traceback.  Only checks the library does
-not make live here.
+2 usage error, 3 output could not be written (to the ``--out`` file or
+to stdout), 4 internal error.  Exit 2 covers any input the library
+refuses with a ValueError; any other exception is a fault of the
+program and exits 4.  Either way ``main`` prints one stderr line and no
+traceback.  Only checks the library does not make live here.
 """
 
 from __future__ import annotations
@@ -44,28 +44,17 @@ from .padic import CALIBRATED_SLACK, witt_convergence_check
 FORMATS = ("json", "csv", "latex")
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
-    return value
-
-
-def _pos_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return value
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+def _int_flag(low: int | None = None):
+    """The argparse type of an integer flag, at least ``low`` when given."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="print q-Euler numbers")
-    table.add_argument("--n-max", type=_nonneg_int, default=10,
+    table.add_argument("--n-max", type=_int_flag(0), default=10,
                        help="largest index n (default 10)")
     _add_output_flags(table)
     table.set_defaults(handler=cmd_table)
@@ -86,24 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="select every identity in the registry")
     verify.add_argument("--id", action="append", dest="ids", metavar="TAG",
                         help="identity id (unique prefix accepted, repeatable)")
-    verify.add_argument("--n-max", type=_nonneg_int, default=None)
-    verify.add_argument("--m-max", type=_nonneg_int, default=None)
-    verify.add_argument("--k-max", type=_nonneg_int, default=None)
-    verify.add_argument("--s-max", type=_pos_int, default=None)
+    verify.add_argument("--n-max", type=_int_flag(0), default=None)
+    verify.add_argument("--m-max", type=_int_flag(0), default=None)
+    verify.add_argument("--k-max", type=_int_flag(0), default=None)
+    verify.add_argument("--s-max", type=_int_flag(1), default=None)
     _add_output_flags(verify)
     verify.set_defaults(handler=cmd_verify)
 
     padic = sub.add_parser("padic", help="p-adic convergence checks")
-    padic.add_argument("--p", type=_pos_int, default=3, help="odd prime (default 3)")
-    padic.add_argument("--precision", type=_pos_int, default=3, metavar="M",
+    padic.add_argument("--p", type=_int_flag(1), default=3, help="odd prime (default 3)")
+    padic.add_argument("--precision", type=_int_flag(1), default=3, metavar="M",
                        help="work modulo p**M (default 3)")
-    padic.add_argument("--depth", type=_pos_int, default=6, metavar="N",
+    padic.add_argument("--depth", type=_int_flag(1), default=6, metavar="N",
                        help="largest truncation exponent (default 6)")
-    padic.add_argument("--q0", type=_int, default=None,
+    padic.add_argument("--q0", type=_int_flag(), default=None,
                        help="integer base, q0 = 1 (mod p) (default 1+p)")
-    padic.add_argument("--n-max", type=_nonneg_int, default=4,
+    padic.add_argument("--n-max", type=_int_flag(0), default=4,
                        help="largest polynomial degree (default 4)")
-    padic.add_argument("--x0", action="append", dest="x0s", type=_nonneg_int,
+    padic.add_argument("--x0", action="append", dest="x0s", type=_int_flag(0),
                        help="evaluation point (repeatable, default 0 1 2)")
     _add_output_flags(padic)
     padic.set_defaults(handler=cmd_padic)
@@ -119,26 +108,25 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out_path: str | None) -> int:
-    """Write ``text`` to stdout or to a file.  Returns 0 or 3."""
-    if out_path is None or out_path == "-":
-        try:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _point_stdout_at_devnull()
-            print("error: cannot write output: the reader closed the pipe",
-                  file=sys.stderr)
-            return 3
-        return 0
+    """Write ``text``, ending in one newline, to stdout or to a file.
+
+    Returns 0, or 3 when the write fails.
+    """
+    to_stdout = out_path is None or out_path == "-"
+    if not text.endswith("\n"):
+        text += "\n"
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        if to_stdout:
+            _point_stdout_at_devnull()
+        target = "to stdout" if to_stdout else out_path
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 3
     return 0
 
@@ -146,8 +134,9 @@ def _emit(text: str, out_path: str | None) -> int:
 def _point_stdout_at_devnull() -> None:
     """Send what stdout still buffers to the null device.
 
-    The interpreter flushes stdout again at exit; on a closed pipe that
-    flush would fail once more, print "Exception ignored" and exit 120.
+    The interpreter flushes stdout again at exit; on a closed pipe or a
+    full device that flush would fail once more, print "Exception
+    ignored" and exit 120.
     """
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:

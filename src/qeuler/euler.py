@@ -20,8 +20,11 @@ Definitions used here:
 * The classical Euler numbers E_n (rationals, generating function
   2/(e^t+1)) satisfy E_0 = 1 and (E+1)^n + E_n = 0 for n >= 1.
 
-They are linked by E_n(q) = (2/(1+q)) * H_n(-1/q) and by
-E_n(q)|_{q=1} = E_n; both links are verified by the identity suite.
+They are linked by E_n(q) = (2/(1+q)) * H_n(-1/q), which the identity
+suite verifies (eq9_frobenius), and by E_n(q)|_{q=1} = E_n, which the
+tests check.  The classical numbers are computed as H_n(-1): at u = -1
+the Frobenius-Euler relation is the classical one.  E_n(q) keeps its
+own recurrence, so eq9_frobenius compares two independent lists.
 
 Values are memoized in an EulerCache; the shared module-level cache
 stops at index 128, where E_128(q) and E_128(1/q) take under a second.
@@ -32,10 +35,8 @@ the shared module-level cache.
 
 from __future__ import annotations
 
-import operator
 import threading
 from fractions import Fraction
-from typing import Callable
 
 from .exactalg import PolyQ, RatFunc, XPoly, binomial, lincomb, rational_to_json
 
@@ -63,7 +64,7 @@ class IndexCapError(ValueError):
 
 
 class EulerCache:
-    """Memo table for q-Euler, Frobenius-Euler, and classical Euler values.
+    """Memo table for q-Euler and Frobenius-Euler values (classical: H_n(-1)).
 
     Values are computed on demand and never evicted.  Indices above
     ``n_max`` raise IndexCapError; construct a larger cache to go further.
@@ -78,7 +79,6 @@ class EulerCache:
         self._lock = threading.Lock()
         self._numbers: list[RatFunc] = [RatFunc(2, PolyQ((1, 1)))]
         self._numbers_inv: list[RatFunc] = []
-        self._classical: list[Fraction] = [Fraction(1)]
         self._frobenius: dict[RatFunc, list[RatFunc]] = {}
 
     def _check_index(self, n: int) -> None:
@@ -93,7 +93,7 @@ class EulerCache:
     def number(self, n: int) -> RatFunc:
         self._check_index(n)
         with self._lock:
-            return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q, lincomb)
+            return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q)
 
     def number_inverse(self, n: int) -> RatFunc:
         """E_n(1/q), the image of the n-th q-Euler number under q -> 1/q."""
@@ -105,9 +105,8 @@ class EulerCache:
             return inv[n]
 
     def classical(self, n: int) -> Fraction:
-        self._check_index(n)
-        with self._lock:
-            return _convolve_up_to(self._classical, n, Fraction(-1, 2), _fraction_lincomb)
+        """The classical Euler number E_n, as the Frobenius-Euler H_n(-1)."""
+        return self.frobenius(n, RatFunc(-1)).as_fraction()
 
     def frobenius(self, n: int, u: RatFunc) -> RatFunc:
         self._check_index(n)
@@ -116,24 +115,16 @@ class EulerCache:
             raise ValueError("u = 1 is a pole of the Frobenius-Euler family")
         with self._lock:
             values = self._frobenius.setdefault(u, [RatFunc(1)])
-            return _convolve_up_to(values, n, 1 / (u - 1), lincomb)
+            return _convolve_up_to(values, n, 1 / (u - 1))
 
 
-def _convolve_up_to(values: list, n: int, scale: object, total: Callable) -> object:
+def _convolve_up_to(values: list[RatFunc], n: int, scale: RatFunc) -> RatFunc:
     """Extend the seeded list to index n by the solved umbral relation
-    v_m = scale * sum_{l<m} C(m,l) v_l, and return v_n.
-
-    ``total(coeffs, values)`` is the sum of the products of the pairs:
-    ``lincomb`` for values in Q(q), ``_fraction_lincomb`` for rationals.
-    """
+    v_m = scale * sum_{l<m} C(m,l) v_l, and return v_n."""
     while len(values) <= n:
         m = len(values)
-        values.append(scale * total([binomial(m, l) for l in range(m)], values))
+        values.append(scale * lincomb([binomial(m, l) for l in range(m)], values))
     return values[n]
-
-
-def _fraction_lincomb(coeffs: list[int], values: list[Fraction]) -> Fraction:
-    return sum(map(operator.mul, coeffs, values), Fraction(0))
 
 
 _DEFAULT_CACHE = EulerCache()

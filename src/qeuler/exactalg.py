@@ -732,11 +732,8 @@ class RatFunc(_Exact):
         return other / self
 
     def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        """Square and multiply through ``*``; a negative n inverts once."""
+        return _Exact.__pow__(self if n >= 0 else 1 / self, abs(n))
 
     def invert_q(self) -> "RatFunc":
         """The image under q -> 1/q, canonicalized.

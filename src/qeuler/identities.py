@@ -775,7 +775,7 @@ def _exploratory_eval(identity: Identity, params: Params) -> ExploratoryRecord:
     try:
         lhs = identity.lhs(params)
         rhs = identity.closed_form(params)
-    except Exception as exc:  # genuinely unevaluable outside the hypothesis
+    except (ValueError, ArithmeticError) as exc:  # the library refused the tuple
         return ExploratoryRecord(identity.tag, params, False, None, str(exc))
     return ExploratoryRecord(identity.tag, params, True, lhs == rhs)
 

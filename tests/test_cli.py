@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface (in process)."""
 
+import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from qeuler import cli, euler, padic
 from qeuler.cli import main
 from qeuler.euler import EulerCache
 from qeuler.exactalg import RatFunc
-from qeuler.identities import REGISTRY, Identity
+from qeuler.identities import REGISTRY, Identity, default_ranges, run_suite
 
 
 def run(capsys, argv):
@@ -136,6 +138,38 @@ def test_verify_reports_failure_with_exit_1(capsys):
     report = json.loads(out)
     assert report["failed"] == 2
     assert report["failures"][0]["id"] == "always_wrong"
+
+
+def _raise_off_the_grid(exc_type, monkeypatch):
+    """Make eq2_symbolic's lhs raise exc_type at its inadmissible tuples."""
+    identity = REGISTRY["eq2_symbolic"]
+
+    def lhs(params):
+        if not identity.admissible(params):
+            raise exc_type("refused off the grid")
+        return identity.lhs(params)
+
+    monkeypatch.setitem(REGISTRY, "eq2_symbolic", dataclasses.replace(identity, lhs=lhs))
+
+
+def test_exploratory_fault_is_internal_error(monkeypatch, capsys):
+    _raise_off_the_grid(RuntimeError, monkeypatch)
+    code, out, err = run(capsys, ["verify", "--id", "eq2_symbolic", "--m-max", "1",
+                                  "--n-max", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: refused off the grid\n"
+
+
+def test_exploratory_refusal_is_not_computed(monkeypatch):
+    _raise_off_the_grid(ValueError, monkeypatch)
+    report = run_suite(default_ranges(ids=["eq2_symbolic"], m_max=1, n_max=1))
+    assert report.failed == 0
+    assert report.exploratory
+    for record in report.exploratory:
+        assert record.params[1] == 0
+        assert (record.computed, record.equal, record.note) == (
+            False, None, "refused off the grid")
 
 
 # -- padic --------------------------------------------------------------
@@ -293,6 +327,20 @@ def test_usage_errors_exit_2(capsys, argv):
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--n-max", "x"], "argument --n-max: not an integer: 'x'"),
+    (["table", "--n-max", "-1"], "argument --n-max: must be >= 0: -1"),
+    (["verify", "--s-max", "0"], "argument --s-max: must be >= 1: 0"),
+    (["padic", "--p", "-1"], "argument --p: must be >= 1: -1"),
+    (["padic", "--q0", "1.5"], "argument --q0: not an integer: '1.5'"),
+])
+def test_integer_flag_messages(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip("\n").endswith(message)
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away."""
 
@@ -335,6 +383,36 @@ def test_broken_pipe_through_a_real_pipe(n_max, read):
     assert proc.wait(timeout=60) == 3
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.count("\n") == 1
+
+
+class _FullDevice:
+    """A stdout on a device with no space left."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_full_stdout_is_io_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    code = main(["table", "--n-max", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_redirected_to_dev_full():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeuler", "table", "--n-max", "2"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

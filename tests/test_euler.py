@@ -69,8 +69,8 @@ def test_qeuler_numbers_match_generating_function():
 
 
 def test_classical_numbers_match_generating_function():
-    expected = classical_oracle(12)
-    for n in range(13):
+    expected = classical_oracle(40)
+    for n in range(41):
         assert classical_euler_number(n) == expected[n], f"n={n}"
 
 

@@ -337,8 +337,8 @@ def _assert_same_storage(value, reference):
 
 
 @settings(max_examples=200)
-@given(form_operands(), form_operands())
-def test_denominator_form_path_matches_general_canonicalisation(f, g):
+@given(form_operands(), form_operands(), st.integers(-3, 4))
+def test_denominator_form_path_matches_general_canonicalisation(f, g, e):
     n1, d1, n2, d2 = f.num, f.den, g.num, g.den
     _assert_same_storage(f + g, RatFunc(n1 * d2 + n2 * d1, d1 * d2))
     _assert_same_storage(f - g, RatFunc(n1 * d2 - n2 * d1, d1 * d2))
@@ -351,6 +351,13 @@ def test_denominator_form_path_matches_general_canonicalisation(f, g):
     _assert_same_storage(f.invert_q(), RatFunc(
         n1.reverse() * PolyQ.monomial(max(shift, 0)),
         d1.reverse() * PolyQ.monomial(max(-shift, 0))))
+    if e >= 0:
+        _assert_same_storage(f**e, RatFunc(n1**e, d1**e))
+    elif not f.is_zero:
+        _assert_same_storage(f**e, RatFunc(d1 ** -e, n1 ** -e))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f**e
 
 
 # -- the n-ary sum against the left fold of + and * ---------------------------
