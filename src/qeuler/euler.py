@@ -69,7 +69,8 @@ class EulerCache:
     Values are computed on demand and never evicted.  Indices above
     ``n_max`` raise IndexCapError; construct a larger cache to go further.
     A single lock guards insertion, so one cache may be shared between
-    threads (stored values are immutable).
+    threads (stored values are immutable); an index already computed is
+    read without it, since the lists only ever grow.
     """
 
     def __init__(self, n_max: int = 128):
@@ -91,13 +92,17 @@ class EulerCache:
             )
 
     def number(self, n: int) -> RatFunc:
+        if 0 <= n < len(self._numbers):
+            return self._numbers[n]
         self._check_index(n)
         with self._lock:
             return _convolve_up_to(self._numbers, n, _MINUS_Q_OVER_ONE_PLUS_Q)
 
     def number_inverse(self, n: int) -> RatFunc:
         """E_n(1/q), the image of the n-th q-Euler number under q -> 1/q."""
-        value = self.number(n)
+        if 0 <= n < len(self._numbers_inv):
+            return self._numbers_inv[n]
+        self.number(n)
         with self._lock:
             inv = self._numbers_inv
             while len(inv) <= n:

@@ -25,9 +25,10 @@ Representation conventions used throughout the package:
   images, Bernstein coefficients and q-power prefactors keep that
   shape).  A RatFunc records (a, b) in a private slot, or None for any
   other denominator.  When both operands of ``+`` or ``*`` carry a form,
-  and for ``invert_q`` of one, the result is built without a gcd: the
-  integer numerators are lifted to the common denominator by shifts and
-  multiplications by 1+q, added or multiplied, and then q is cancelled
+  for ``/`` when the divisor's numerator is also c * q**j * (1+q)**i
+  (as for 1/q), and for ``invert_q`` of one, the result is built without
+  a gcd: the integer numerators are lifted to the common denominator by
+  shifts and multiplications by 1+q, combined, and then q is cancelled
   while the constant term is 0 and 1+q, by synthetic division, while
   the alternating coefficient sum is 0.  Every other operation, and any
   operand with another denominator, goes through ``RatFunc(num, den)``,
@@ -143,14 +144,17 @@ class _Exact:
         """Square and multiply, for n >= 0."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._coerce(1)
+        if not n:
+            return self._coerce(1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -507,6 +511,20 @@ def _denominator_form(den: PolyQ) -> tuple[int, int] | None:
     return a, b
 
 
+def _numerator_form(ints: Sequence[int]) -> tuple[int, int, int] | None:
+    """(c, j, i) when the nonzero ints are c * q**j * (1+q)**i, else None."""
+    c = ints[-1]
+    j = 0
+    while not ints[j]:
+        j += 1
+    i = len(ints) - 1 - j
+    if ints[j] != c or (i and ints[j + 1] != i * c):
+        return None
+    if i > 1 and any(v != c * r for v, r in zip(ints[j:], _form_den(0, i)._ints)):
+        return None
+    return c, j, i
+
+
 def _ratfunc(num: PolyQ, den: PolyQ, form: tuple[int, int] | None) -> RatFunc:
     """The RatFunc num/den of parts already canonical, den's form given."""
     out = object.__new__(RatFunc)
@@ -704,6 +722,8 @@ class RatFunc(_Exact):
         return _ratfunc(-self.num, self.den, self._form)
 
     def __mul__(self, other: object) -> "RatFunc":
+        if type(other) is int:  # a nonzero integer keeps the denominator
+            return _ratfunc(self.num * other, self.den, self._form) if other else _ZERO
         other = _as_ratfunc_or_none(other)
         if other is None:
             return NotImplemented
@@ -723,7 +743,23 @@ class RatFunc(_Exact):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        f, g = self._form, other._form
+        form = None if f is None or g is None else _numerator_form(other.num._ints)
+        if form is None:
+            return RatFunc(self.num * other.den, self.den * other.num)
+        if self.is_zero:
+            return _ZERO
+        # (F/d) / (q**fa (1+q)**fb) * (e q**ga (1+q)**gb) / (c q**j (1+q)**i),
+        # with the q and 1+q powers netted before the strip.
+        c, j, i = form
+        e = other.num._den
+        qs, ones = g[0] - f[0] - j, g[1] - f[1] - i
+        ints = self.num._ints
+        if ones > 0:
+            ints = _int_mul(ints, _form_den(0, ones)._ints)
+        mult = e if c > 0 else -e
+        ints = [0] * max(qs, 0) + [mult * v for v in ints]
+        return _over_form(ints, self.num._den * abs(c), max(-qs, 0), max(-ones, 0))
 
     def __rtruediv__(self, other: object) -> "RatFunc":
         other = _as_ratfunc_or_none(other)

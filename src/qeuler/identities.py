@@ -41,12 +41,24 @@ in general).  Cross-checks between identities (tags xcheck_*) run when
 every identity they relate is selected.  Beyond the reflection chain
 they compare results the suite already computed; a base tuple outside
 its own grid is verified for the check but not counted as a case.
+
+Within one ``run_suite`` call each side of thm6, cor7, thm8 and cor9 is
+computed once per distinct argument its own transcription reads: the
+closed forms, cor7's and cor9's sums and every ``rhs_k0`` read only
+(n+m, k) or (sum n_i, s, k), and the left sides of thm6 and thm8 only
+the multiset of degrees and k.  Scalar prefactors such as prod C(n_i, k)
+stay outside the memo, and every entry is keyed by tag and side, so no
+entry serves another identity or another side.  The memo lives in a
+context variable that ``run_suite`` sets on entry and resets on exit; a
+bare ``verify_identity`` computes everything afresh.  Two sides are
+compared by subtracting only when their canonical forms differ.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -102,9 +114,17 @@ def moment_reduce(expr: IntegrandExpr) -> RatFunc:
 
     Linear in the polynomial part; the result is exact in Q(q).
     """
-    moment = euler_number_q if expr.qsign == 1 else euler_number_q_inverse
-    coeffs = expr.poly.coeffs
-    return q**expr.qshift * lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
+    return _reduce_moments(expr.qsign, expr.qshift, expr.poly.coeffs)
+
+
+def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFunc:
+    """The body of ``moment_reduce``, on the coefficients of P(x) in x.
+
+    The registry's left sides call it with integer coefficient lists,
+    which ``lincomb`` takes as they are.
+    """
+    moment = euler_number_q if qsign == 1 else euler_number_q_inverse
+    return q**qshift * lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
 
 
 @dataclass(frozen=True)
@@ -155,8 +175,9 @@ class Identity:
     instead 1 to s of them, each bounded by ``n``; with ``k`` a last
     parameter k runs up to the smallest degree and to its own bound.
     ``lhs(params)`` and ``rhs(params)`` return a RatFunc or an XPoly and
-    take every q-Euler value from the ``euler`` functions, which alone
-    decide where values are memoized.  For the piecewise identities
+    take every q-Euler value from the ``euler`` functions, which keep
+    the q-Euler cache; the only other memo is the per-run one of
+    ``run_suite`` (see the module docstring).  For the piecewise identities
     ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
     k = 0; ``closed_form`` picks between them, and ``run_suite`` also
     evaluates ``rhs`` at k = 0 for the informational branch notes.
@@ -217,13 +238,50 @@ def _check_params(identity: Identity, params: Params) -> Params:
     return params
 
 
-# integrand helpers: integer coefficient lists in x, made an XPoly once
+# per-run memos of the sides that many grid tuples share
+
+#: The memo of the run_suite call in progress, None outside one.  It maps
+#: (tag, side, arguments) to the value of that side's core.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("qeuler_run_memo", default=None)
+
+
+def _per_run(tag: str, side: str):
+    """Memoise a side's core on its arguments for one run_suite call.
+
+    Keys carry the tag and the side, so no entry serves another identity
+    or another side.  Outside run_suite every call computes afresh.
+    """
+    def decorate(fn):
+        @wraps(fn)
+        def memoised(*args):
+            memo = _RUN_MEMO.get()
+            if memo is None:
+                return fn(*args)
+            key = (tag, side, args)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = fn(*args)
+            return value
+        return memoised
+    return decorate
+
+
+# integrand helpers: integer coefficient lists in x (and the same as an
+# XPoly, for the public IntegrandExpr path)
 
 def _int_power(base: list[int], n: int) -> list[int]:
     out = [1]
     for _ in range(n):
         out = _int_mul(out, base)
     return out
+
+
+def _basis_ints(ns: Sequence[int], k: int) -> list[int]:
+    """The integer coefficients of the product of the B_{k,n} over ns."""
+    ints = [1]
+    for n in ns:
+        ints = _int_mul(ints, _bernstein_ints(k, n))
+    return ints
 
 
 def _one_minus_x_power(n: int) -> XPoly:
@@ -235,17 +293,14 @@ def _x_plus_constant_power(c: int, n: int) -> XPoly:
 
 
 def _basis_product(ns: Sequence[int], k: int) -> XPoly:
-    ints = [1]
-    for n in ns:
-        ints = _int_mul(ints, _bernstein_ints(k, n))
-    return XPoly(ints)
+    return XPoly(_basis_ints(ns, k))
 
 
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
 
 def _eq2_lhs(params: Params) -> RatFunc:
     m, nshift = params
-    return moment_reduce(IntegrandExpr(1, nshift, _x_plus_constant_power(nshift, m)))
+    return _reduce_moments(1, nshift, _int_power([nshift, 1], m))
 
 
 def _eq2_rhs(params: Params) -> RatFunc:
@@ -284,7 +339,7 @@ def _thm1_rhs(params: Params) -> XPoly:
 
 def _thm2_lhs(params: Params) -> RatFunc:
     (n,) = params
-    return moment_reduce(IntegrandExpr(1, 1, _x_plus_constant_power(2, n)))
+    return _reduce_moments(1, 1, _int_power([2, 1], n))
 
 
 def _thm2_rhs(params: Params) -> RatFunc:
@@ -296,7 +351,7 @@ def _thm2_rhs(params: Params) -> RatFunc:
 
 def _thm3_lhs(params: Params) -> RatFunc:
     (n,) = params
-    return moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)))
+    return _reduce_moments(-1, 0, _int_power([1, -1], n))
 
 
 def _thm3_rhs(params: Params) -> RatFunc:
@@ -308,7 +363,7 @@ def _thm3_rhs(params: Params) -> RatFunc:
 
 def _eq14_lhs(params: Params) -> RatFunc:
     n, k = params
-    return moment_reduce(IntegrandExpr(1, 0, bernstein_basis(k, n)))
+    return _reduce_moments(1, 0, _bernstein_ints(k, n))
 
 
 def _eq14_rhs(params: Params) -> RatFunc:
@@ -335,7 +390,7 @@ def _eq15_rhs(params: Params) -> XPoly:
 
 def _thm4_lhs(params: Params) -> RatFunc:
     n, k = params
-    return moment_reduce(IntegrandExpr(-1, 1, bernstein_basis(k, n)))
+    return _reduce_moments(-1, 1, _bernstein_ints(k, n))
 
 
 def _thm4_rhs(params: Params) -> RatFunc:
@@ -377,43 +432,72 @@ def _cor5_rhs_k0(params: Params) -> RatFunc:
 
 def _thm6_lhs(params: Params) -> RatFunc:
     n, m, k = params
+    return _thm6_integral(min(n, m), max(n, m), k)
+
+
+@_per_run("thm6", "lhs")
+def _thm6_integral(n: int, m: int, k: int) -> RatFunc:
     product = _int_mul(_bernstein_ints(k, n), _bernstein_ints(k, m))
-    return moment_reduce(IntegrandExpr(-1, 1, XPoly(product)))
+    return _reduce_moments(-1, 1, product)
 
 
 def _thm6_rhs(params: Params) -> RatFunc:
     n, m, k = params
+    return binomial(n, k) * binomial(m, k) * _thm6_sum(n + m, k)
+
+
+@_per_run("thm6", "rhs")
+def _thm6_sum(total: int, k: int) -> RatFunc:
     js = range(2 * k + 1)
-    acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
-                  [euler_number_q(n + m - j) for j in js])
-    return binomial(n, k) * binomial(m, k) * acc
+    return lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
+                   [euler_number_q(total - j) for j in js])
 
 
 def _thm6_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return 2 * q + euler_number_q(n + m)
+    return _thm6_k0(n + m)
+
+
+@_per_run("thm6", "rhs_k0")
+def _thm6_k0(total: int) -> RatFunc:
+    return 2 * q + euler_number_q(total)
 
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
 
 def _cor7_lhs(params: Params) -> RatFunc:
     n, m, k = params
-    js = range(n + m - 2 * k + 1)
-    return lincomb([binomial(n + m - 2 * k, j) * (-1) ** j for j in js],
+    return _cor7_sum(n + m, k)
+
+
+@_per_run("cor7", "lhs")
+def _cor7_sum(total: int, k: int) -> RatFunc:
+    js = range(total - 2 * k + 1)
+    return lincomb([binomial(total - 2 * k, j) * (-1) ** j for j in js],
                    [euler_number_q_inverse(j + 2 * k) for j in js])
 
 
 def _cor7_rhs(params: Params) -> RatFunc:
     n, m, k = params
+    return _cor7_closed(n + m, k)
+
+
+@_per_run("cor7", "rhs")
+def _cor7_closed(total: int, k: int) -> RatFunc:
     js = range(2 * k + 1)
     acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
-                  [euler_number_q(n + m - j) for j in js])
+                  [euler_number_q(total - j) for j in js])
     return (1 / q) * acc
 
 
 def _cor7_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return 2 + (1 / q) * euler_number_q(n + m)
+    return _cor7_k0(n + m)
+
+
+@_per_run("cor7", "rhs_k0")
+def _cor7_k0(total: int) -> RatFunc:
+    return 2 + (1 / q) * euler_number_q(total)
 
 
 # thm8: integral of q^(1-x) * product of s Bernstein factors, sum n_i > s k
@@ -424,33 +508,48 @@ def _thm8_split(params: Params) -> tuple[tuple[int, ...], int]:
 
 def _thm8_lhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    return moment_reduce(IntegrandExpr(-1, 1, _basis_product(ns, k)))
+    return _thm8_integral(tuple(sorted(ns)), k)
+
+
+@_per_run("thm8", "lhs")
+def _thm8_integral(ns: tuple[int, ...], k: int) -> RatFunc:
+    return _reduce_moments(-1, 1, _basis_ints(ns, k))
 
 
 def _thm8_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    s = len(ns)
-    total = sum(ns)
-    js = range(s * k + 1)
-    acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
-                  [euler_number_q(total - j) for j in js])
     lead = 1
     for n in ns:
         lead *= binomial(n, k)
-    return lead * acc
+    return lead * _thm8_sum(sum(ns), len(ns), k)
+
+
+@_per_run("thm8", "rhs")
+def _thm8_sum(total: int, s: int, k: int) -> RatFunc:
+    js = range(s * k + 1)
+    return lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
+                   [euler_number_q(total - j) for j in js])
 
 
 def _thm8_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return 2 * q + euler_number_q(sum(ns))
+    return _thm8_k0(sum(ns))
+
+
+@_per_run("thm8", "rhs_k0")
+def _thm8_k0(total: int) -> RatFunc:
+    return 2 * q + euler_number_q(total)
 
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
 
 def _cor9_lhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    s = len(ns)
-    total = sum(ns)
+    return _cor9_sum(sum(ns), len(ns), k)
+
+
+@_per_run("cor9", "lhs")
+def _cor9_sum(total: int, s: int, k: int) -> RatFunc:
     js = range(total - s * k + 1)
     return lincomb([binomial(total - s * k, j) * (-1) ** j for j in js],
                    [euler_number_q_inverse(j + s * k) for j in js])
@@ -458,8 +557,11 @@ def _cor9_lhs(params: Params) -> RatFunc:
 
 def _cor9_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    s = len(ns)
-    total = sum(ns)
+    return _cor9_closed(sum(ns), len(ns), k)
+
+
+@_per_run("cor9", "rhs")
+def _cor9_closed(total: int, s: int, k: int) -> RatFunc:
     js = range(s * k + 1)
     acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
                   [euler_number_q(total - j) for j in js])
@@ -468,7 +570,12 @@ def _cor9_rhs(params: Params) -> RatFunc:
 
 def _cor9_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return 2 + (1 / q) * euler_number_q(sum(ns))
+    return _cor9_k0(sum(ns))
+
+
+@_per_run("cor9", "rhs_k0")
+def _cor9_k0(total: int) -> RatFunc:
+    return 2 + (1 / q) * euler_number_q(total)
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -660,8 +767,21 @@ def verify_identity(tag: str, params: Sequence[int]) -> VerificationResult:
         raise SideConditionError(f"{tag} side condition fails at {params}")
     lhs = identity.lhs(params)
     rhs = identity.closed_form(params)
-    difference = lhs - rhs
+    difference = _difference(lhs, rhs)
     return VerificationResult(tag, params, lhs, rhs, difference.is_zero, difference)
+
+
+#: The zero of each kind of side.
+_ZEROS = {RatFunc: RatFunc(0), XPoly: XPoly()}
+
+
+def _difference(a: object, b: object) -> object:
+    """a - b, subtracting only when the canonical forms differ.
+
+    Canonical storage makes equal storage equal value, so an equal pair
+    takes the zero of its kind; callers still test ``is_zero`` on it.
+    """
+    return _ZEROS[type(a)] if a == b else a - b
 
 
 @dataclass(frozen=True)
@@ -796,6 +916,14 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     # identities it relates, so the stated maxima cover them too.
     _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()
                     if REGISTRY[tag].max_index is not None), default=0))
+    token = _RUN_MEMO.set({})
+    try:
+        return _run_cases(ranges)
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def _run_cases(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     report = SuiteReport()
     results: dict[tuple[str, Params], VerificationResult] = {}
     for tag, identity in REGISTRY.items():
@@ -823,11 +951,12 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
 # -- cross-checks between identities ----------------------------------------
 
 
-def _first_nonzero(*diffs: RatFunc) -> tuple[bool, RatFunc]:
-    for d in diffs:
+def _first_difference(*pairs: tuple[RatFunc, RatFunc]) -> tuple[bool, RatFunc]:
+    for a, b in pairs:
+        d = _difference(a, b)
         if not d.is_zero:
             return False, d
-    return True, RatFunc(0)
+    return True, _ZEROS[RatFunc]
 
 
 def reflection_chain(n: int) -> tuple[RatFunc, ...]:
@@ -865,7 +994,7 @@ def _cross_check_results(
         n_hi = min(ranges[tag]["n"] for tag in chain_tags)
         for n in range(1, n_hi + 1):
             a, b, c, d = reflection_chain(n)
-            equal, diff = _first_nonzero(a - b, a - c, a - d)
+            equal, diff = _first_difference((a, b), (a, c), (a, d))
             yield VerificationResult("xcheck_reflection_chain", (n,), a, c, equal, diff)
 
     if "eq14_bernstein_moment" in ranges:
@@ -873,7 +1002,7 @@ def _cross_check_results(
         for params in [p for tag, p in results if tag == "thm4"]:
             swapped = q * recorded("eq14_bernstein_moment", params).rhs.invert_q()
             target = results["thm4", params].rhs
-            diff = swapped - target
+            diff = _difference(swapped, target)
             yield VerificationResult(
                 "xcheck_eq14_thm4_swap", params, swapped, target, diff.is_zero, diff
             )
@@ -888,5 +1017,5 @@ def _cross_check_results(
             continue
         for params in [p for tag, p in results if tag == multi_tag and len(p) == s + 1]:
             multi, base = results[multi_tag, params], recorded(base_tag, params)
-            equal, diff = _first_nonzero(multi.lhs - base.lhs, multi.rhs - base.rhs)
+            equal, diff = _first_difference((multi.lhs, base.lhs), (multi.rhs, base.rhs))
             yield VerificationResult(xtag, params, multi.rhs, base.rhs, equal, diff)

@@ -177,14 +177,26 @@ class PAdic:
         return self.residue == 0
 
     def valuation(self) -> int:
-        """v_p of the residue, capped at M (the zero residue reports M)."""
+        """v_p of the residue, capped at M (the zero residue reports M).
+
+        Divides by p, p^2, p^4, ... while they divide, then takes the
+        same powers back down once each, so the cost is logarithmic in
+        the valuation.
+        """
         if self.residue == 0:
             return self.M
-        v = 0
         r = self.residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
+        powers = []
+        power = self.p
+        while r % power == 0:
+            r //= power
+            powers.append(power)
+            power *= power
+        v = (1 << len(powers)) - 1
+        for k in reversed(range(len(powers))):
+            if r % powers[k] == 0:
+                r //= powers[k]
+                v += 1 << k
         return v
 
     def to_json(self) -> dict:

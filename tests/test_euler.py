@@ -236,3 +236,72 @@ def test_frobenius_general_u_matches_scalar_recurrence(q0):
     u0 = (q0 + 2) / (q0 * q0 + 3)
     expected = scalar_frobenius(u0, 12)
     assert [frobenius_euler(n, GENERAL_U)(q0) for n in range(13)] == expected
+
+
+# -- an integer oracle through the Eulerian numbers ----------------------
+#
+# P_n(q) = 2 (-q)^n A_n(-1/q) (Carlitz 1959), so
+#   E_n(q)   (1+q)^(n+1) = 2 sum_k A(n,k) (-1)^(n-k) q^(n-k),
+#   E_n(1/q) (1+q)^(n+1) = 2 sum_k A(n,k) (-1)^(n-k) q^(k+1),
+# with the Eulerian numbers A(n,k) from their own triangle, in integers.
+
+
+def eulerian_rows(n_max):
+    """A(n, k) for n <= n_max, row n holding k = 0 .. max(n - 1, 0)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(k + 1) * prev[k] + (n - k) * (prev[k - 1] if k else 0)
+                     for k in range(n)])
+    return rows
+
+
+def int_convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def lifted_numerator(value, n):
+    """The coefficients of value * (1+q)^(n+1), for a value over q^a (1+q)^b,
+    b <= n + 1, as (a, list): value (1+q)^(n+1) = list / q^a."""
+    den = list(value.den.coeffs)
+    a = next(i for i, c in enumerate(den) if c)
+    b = len(den) - 1 - a
+    assert den == [0] * a + [binomial(b, i) for i in range(b + 1)]
+    assert b <= n + 1
+    return a, int_convolve(list(value.num.coeffs), [binomial(n + 1 - b, i)
+                                                    for i in range(n + 2 - b)])
+
+
+def test_qeuler_numbers_match_eulerian_numbers():
+    rows = eulerian_rows(128)
+    for n in range(129):
+        signed = [2 * a * (-1) ** (n - k) for k, a in enumerate(rows[n])]
+        plain = [0] * (n + 1)
+        inverse = [0] * (len(signed) + 1)
+        for k, c in enumerate(signed):
+            plain[n - k] += c
+            inverse[k + 1] += c
+        for value, expected in ((euler_number_q(n), plain),
+                                (euler_number_q_inverse(n), inverse)):
+            a, lifted = lifted_numerator(value, n)
+            assert lifted == [0] * a + expected, f"n={n}"
+
+
+def test_qeuler_numbers_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    t, z = sympy.symbols("t q")
+    series = sympy.series(2 / (z * sympy.exp(t) + 1), t, 0, 9).removeO()
+
+    def as_sympy(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z**i
+                   for i, c in enumerate(poly.coeffs))
+
+    for n in range(9):
+        expected = series.coeff(t, n) * sympy.factorial(n)
+        for value, target in ((euler_number_q(n), expected),
+                              (euler_number_q_inverse(n), expected.subs(z, 1 / z))):
+            assert sympy.cancel(target - as_sympy(value.num) / as_sympy(value.den)) == 0

@@ -1,7 +1,9 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
 import dataclasses
+import gc
 import itertools
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import euler
+from qeuler import euler, identities
 from qeuler.bernstein import bernstein_basis
 from qeuler.euler import EulerCache, euler_number_q, euler_number_q_inverse
 from qeuler.exactalg import PolyQ, RatFunc, XPoly, q, x
@@ -17,6 +19,7 @@ from qeuler.identities import (
     REGISTRY,
     IntegrandExpr,
     SideConditionError,
+    SuiteReport,
     _basis_product,
     _one_minus_x_power,
     _thm6_lhs,
@@ -425,6 +428,71 @@ def test_suite_evaluates_each_case_once(monkeypatch, caps):
         "xcheck_thm8_thm6", "xcheck_cor9_cor5", "xcheck_cor9_cor7",
     }
     assert [key for key, count in calls.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("caps", [
+    {"n_max": 4, "s_max": 2},
+    {"n_max": 3, "m_max": 2, "k_max": 1, "s_max": 3},
+])
+def test_suite_memos_match_fresh_verification(monkeypatch, caps):
+    recorded, memos = [], []
+    record = SuiteReport.record
+
+    def keep(self, result):
+        recorded.append(result)
+        record(self, result)
+
+    def spy(params, lhs=REGISTRY["thm8"].lhs):
+        memos.append(identities._RUN_MEMO.get())
+        return lhs(params)
+
+    monkeypatch.setattr(SuiteReport, "record", keep)
+    monkeypatch.setitem(REGISTRY, "thm8", dataclasses.replace(REGISTRY["thm8"], lhs=spy))
+    report = run_suite(default_ranges(**caps))
+    monkeypatch.undo()
+
+    # one memo for the whole run, gone when it returns
+    assert memos and all(memo is memos[0] for memo in memos)
+    assert identities._RUN_MEMO.get() is None
+    gc.collect()
+    assert [r for r in gc.get_referrers(memos[0])
+            if r is not memos and not isinstance(r, types.FrameType)] == []
+    # each entry is keyed by its own identity and side
+    assert {(tag, side) for tag, side, _ in memos[0]} <= {
+        (tag, side) for tag in ("thm6", "cor7", "thm8", "cor9")
+        for side in ("lhs", "rhs", "rhs_k0")}
+
+    # every recorded result is what a bare verify_identity computes afresh
+    checked = 0
+    for result in recorded:
+        if result.identity in REGISTRY:
+            fresh = verify_identity(result.identity, result.params)
+            assert (fresh.lhs, fresh.rhs, fresh.equal, fresh.difference) == (
+                result.lhs, result.rhs, result.equal, result.difference), result.params
+            checked += 1
+    assert checked == sum(1 for tag, _, _ in report.case_log if tag in REGISTRY)
+    for entry in report.exploratory:
+        identity = REGISTRY[entry.identity]
+        assert entry.equal == (identity.lhs(entry.params)
+                               == identity.closed_form(entry.params))
+    for note in report.branch_notes:
+        identity = REGISTRY[note.identity]
+        assert note.coincide == (identity.rhs(note.params) == identity.rhs_k0(note.params))
+
+    # the multiset memo of thm8's left side still logs every ordered tuple
+    for k in (0, 1):
+        for params in ((1, 2, k), (2, 1, k)):
+            assert ("thm8", params, "pass") in report.case_log
+
+
+def test_suite_memo_is_dropped_when_a_case_raises(monkeypatch):
+    def broken(params):
+        raise RuntimeError("broken side")
+
+    monkeypatch.setitem(REGISTRY, "cor9", dataclasses.replace(REGISTRY["cor9"], lhs=broken))
+    with pytest.raises(RuntimeError):
+        run_suite(default_ranges(ids=["thm8", "cor9"], n_max=2, s_max=2))
+    assert identities._RUN_MEMO.get() is None
 
 
 def test_suite_exploratory_flag():

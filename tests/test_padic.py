@@ -77,6 +77,16 @@ def test_padic_arithmetic():
         a + PAdic(3, 3, 1)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_valuation_of_a_power_times_a_unit(p):
+    M = 2001
+    for u in (1, p - 1, 2 * p**3 + 1):
+        for v in range(M):
+            assert PAdic(p, M, p**v * u).valuation() == v
+    assert PAdic(p, M, 0).valuation() == M
+    assert PAdic(p, M, p**M).valuation() == M
+
+
 def test_padic_constructor_checks_p_and_M():
     with pytest.raises(ValueError):
         PAdic(9, 2, 1)
