@@ -42,16 +42,18 @@ every identity they relate is selected.  Beyond the reflection chain
 they compare results the suite already computed; a base tuple outside
 its own grid is verified for the check but not counted as a case.
 
-Within one ``run_suite`` call each side of thm6, cor7, thm8 and cor9 is
-computed once per distinct argument its own transcription reads: the
-closed forms, cor7's and cor9's sums and every ``rhs_k0`` read only
-(n+m, k) or (sum n_i, s, k), and the left sides of thm6 and thm8 only
-the multiset of degrees and k.  Scalar prefactors such as prod C(n_i, k)
-stay outside the memo, and every entry is keyed by tag and side, so no
-entry serves another identity or another side.  The memo lives in a
-context variable that ``run_suite`` sets on entry and resets on exit; a
-bare ``verify_identity`` computes everything afresh.  Two sides are
-compared by subtracting only when their canonical forms differ.
+The seven integral identities state their integrand as registry data,
+params -> (qsign, qshift, integer coefficients of P), and share one left
+side, ``_integral_side``.  Within one ``run_suite`` call that side is
+computed once per distinct integrand, thm8's integrand once per multiset
+of degrees and k, and the closed forms of thm6, cor7, thm8 and cor9,
+cor7's and cor9's sums and every ``rhs_k0`` once per (n+m, k) or
+(sum n_i, s, k), the only arguments they read.  Scalar prefactors such
+as prod C(n_i, k) stay outside the memo, and every entry is keyed by tag
+and side, so no entry serves another identity or another side.  The memo
+lives in a context variable that ``run_suite`` sets on entry and resets
+on exit; a bare ``verify_identity`` computes everything afresh.  Two
+sides are compared by subtracting only when their canonical forms differ.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ class IntegrandExpr:
     poly: XPoly
 
     def __post_init__(self):
+        for name in ("qsign", "qshift"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.qsign not in (1, -1):
             raise ValueError(f"qsign must be +1 or -1, got {self.qsign}")
         if not isinstance(self.poly, XPoly):
@@ -120,7 +125,7 @@ def moment_reduce(expr: IntegrandExpr) -> RatFunc:
 def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFunc:
     """The body of ``moment_reduce``, on the coefficients of P(x) in x.
 
-    The registry's left sides call it with integer coefficient lists,
+    ``_integral_side`` passes the registry's integer coefficient tuples,
     which ``lincomb`` takes as they are.
     """
     moment = euler_number_q if qsign == 1 else euler_number_q_inverse
@@ -177,10 +182,12 @@ class Identity:
     ``lhs(params)`` and ``rhs(params)`` return a RatFunc or an XPoly and
     take every q-Euler value from the ``euler`` functions, which keep
     the q-Euler cache; the only other memo is the per-run one of
-    ``run_suite`` (see the module docstring).  For the piecewise identities
-    ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
-    k = 0; ``closed_form`` picks between them, and ``run_suite`` also
-    evaluates ``rhs`` at k = 0 for the informational branch notes.
+    ``run_suite`` (see the module docstring), which keys an integral
+    ``lhs`` on its integrand and thm8's integrand on its degree multiset
+    and k.  For the piecewise identities ``rhs`` is the k > 0 closed form
+    and ``rhs_k0(params)`` the one at k = 0; ``closed_form`` picks between
+    them, and ``run_suite`` also evaluates ``rhs`` at k = 0 for the
+    informational branch notes.
     ``max_index(bounds)`` is the largest q-Euler index any tuple of the
     grid asks for (None when the identity asks for none); ``run_suite``
     checks it against the cap of the shared cache before any case runs.
@@ -266,42 +273,35 @@ def _per_run(tag: str, side: str):
     return decorate
 
 
-# integrand helpers: integer coefficient lists in x (and the same as an
-# XPoly, for the public IntegrandExpr path)
+# integral left sides and the integer integrands they reduce
 
-def _int_power(base: list[int], n: int) -> list[int]:
+def _integral_side(tag: str, integrand: Callable[[Params], tuple]):
+    """The left side: params -> the reduced integral of ``integrand(params)``.
+
+    An integrand q^qshift * q^(qsign*x) * P(x) is (qsign, qshift, the tuple
+    of integer coefficients of P in x).  The reduction is memoised per run
+    on the integrand, so tuples with one integrand share it.
+    """
+    reduce = _per_run(tag, "lhs")(_reduce_moments)
+    return lambda params: reduce(*integrand(params))
+
+
+def _int_power(base: tuple[int, ...], n: int) -> tuple[int, ...]:
     out = [1]
     for _ in range(n):
         out = _int_mul(out, base)
-    return out
+    return tuple(out)
 
 
-def _basis_ints(ns: Sequence[int], k: int) -> list[int]:
+def _basis_ints(ns: Sequence[int], k: int) -> tuple[int, ...]:
     """The integer coefficients of the product of the B_{k,n} over ns."""
     ints = [1]
     for n in ns:
         ints = _int_mul(ints, _bernstein_ints(k, n))
-    return ints
-
-
-def _one_minus_x_power(n: int) -> XPoly:
-    return XPoly(_int_power([1, -1], n))
-
-
-def _x_plus_constant_power(c: int, n: int) -> XPoly:
-    return XPoly(_int_power([c, 1], n))
-
-
-def _basis_product(ns: Sequence[int], k: int) -> XPoly:
-    return XPoly(_basis_ints(ns, k))
+    return tuple(ints)
 
 
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
-
-def _eq2_lhs(params: Params) -> RatFunc:
-    m, nshift = params
-    return _reduce_moments(1, nshift, _int_power([nshift, 1], m))
-
 
 def _eq2_rhs(params: Params) -> RatFunc:
     m, nshift = params
@@ -337,11 +337,6 @@ def _thm1_rhs(params: Params) -> XPoly:
 
 # thm2_value_at_two: q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1
 
-def _thm2_lhs(params: Params) -> RatFunc:
-    (n,) = params
-    return _reduce_moments(1, 1, _int_power([2, 1], n))
-
-
 def _thm2_rhs(params: Params) -> RatFunc:
     (n,) = params
     return 2 + (1 / q) * euler_number_q(n)
@@ -349,22 +344,12 @@ def _thm2_rhs(params: Params) -> RatFunc:
 
 # thm3_integral: integral of q^-x (1-x)^n equals 2 + (1/q) * integral of q^x x^n
 
-def _thm3_lhs(params: Params) -> RatFunc:
-    (n,) = params
-    return _reduce_moments(-1, 0, _int_power([1, -1], n))
-
-
 def _thm3_rhs(params: Params) -> RatFunc:
     (n,) = params
     return 2 + (1 / q) * euler_number_q(n)
 
 
 # eq14_bernstein_moment: integral of q^x B_{k,n} in terms of E_{k+j}(q)
-
-def _eq14_lhs(params: Params) -> RatFunc:
-    n, k = params
-    return _reduce_moments(1, 0, _bernstein_ints(k, n))
-
 
 def _eq14_rhs(params: Params) -> RatFunc:
     n, k = params
@@ -387,11 +372,6 @@ def _eq15_rhs(params: Params) -> XPoly:
 
 
 # thm4: integral of q^(1-x) B_{k,n}, piecewise in k, for n > k
-
-def _thm4_lhs(params: Params) -> RatFunc:
-    n, k = params
-    return _reduce_moments(-1, 1, _bernstein_ints(k, n))
-
 
 def _thm4_rhs(params: Params) -> RatFunc:
     n, k = params
@@ -429,17 +409,6 @@ def _cor5_rhs_k0(params: Params) -> RatFunc:
 
 
 # thm6: integral of q^(1-x) B_{k,n} B_{k,m}, piecewise in k, for n + m > 2k
-
-def _thm6_lhs(params: Params) -> RatFunc:
-    n, m, k = params
-    return _thm6_integral(min(n, m), max(n, m), k)
-
-
-@_per_run("thm6", "lhs")
-def _thm6_integral(n: int, m: int, k: int) -> RatFunc:
-    product = _int_mul(_bernstein_ints(k, n), _bernstein_ints(k, m))
-    return _reduce_moments(-1, 1, product)
-
 
 def _thm6_rhs(params: Params) -> RatFunc:
     n, m, k = params
@@ -506,14 +475,9 @@ def _thm8_split(params: Params) -> tuple[tuple[int, ...], int]:
     return params[:-1], params[-1]
 
 
-def _thm8_lhs(params: Params) -> RatFunc:
-    ns, k = _thm8_split(params)
-    return _thm8_integral(tuple(sorted(ns)), k)
-
-
-@_per_run("thm8", "lhs")
-def _thm8_integral(ns: tuple[int, ...], k: int) -> RatFunc:
-    return _reduce_moments(-1, 1, _basis_ints(ns, k))
+#: thm8's grid repeats each degree multiset in every order, so its
+#: integrand is built once per run on the sorted degrees and k
+_thm8_product = _per_run("thm8", "integrand")(_basis_ints)
 
 
 def _thm8_rhs(params: Params) -> RatFunc:
@@ -596,7 +560,8 @@ _register(
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
     max_index=lambda b: b["m"],
     admissible=lambda p: p[1] >= 1,
-    lhs=_eq2_lhs,
+    lhs=_integral_side("eq2_symbolic",
+                       lambda p: (1, p[1], _int_power((p[1], 1), p[0]))),
     rhs=_eq2_rhs,
 )
 
@@ -624,7 +589,8 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_thm2_lhs,
+    lhs=_integral_side("thm2_value_at_two",
+                       lambda p: (1, 1, _int_power((2, 1), p[0]))),
     rhs=_thm2_rhs,
 )
 
@@ -637,7 +603,8 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_thm3_lhs,
+    lhs=_integral_side("thm3_integral",
+                       lambda p: (-1, 0, _int_power((1, -1), p[0]))),
     rhs=_thm3_rhs,
 )
 
@@ -650,7 +617,8 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_eq14_lhs,
+    lhs=_integral_side("eq14_bernstein_moment",
+                       lambda p: (1, 0, _basis_ints(p[:1], p[1]))),
     rhs=_eq14_rhs,
 )
 
@@ -671,7 +639,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_thm4_lhs,
+    lhs=_integral_side("thm4", lambda p: (-1, 1, _basis_ints(p[:1], p[1]))),
     rhs=_thm4_rhs,
     rhs_k0=_thm4_rhs_k0,
 )
@@ -700,7 +668,7 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_thm6_lhs,
+    lhs=_integral_side("thm6", lambda p: (-1, 1, _basis_ints(p[:2], p[2]))),
     rhs=_thm6_rhs,
     rhs_k0=_thm6_rhs_k0,
 )
@@ -731,7 +699,8 @@ _register(
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-    lhs=_thm8_lhs,
+    lhs=_integral_side(
+        "thm8", lambda p: (-1, 1, _thm8_product(tuple(sorted(p[:-1])), p[-1]))),
     rhs=_thm8_rhs,
     rhs_k0=_thm8_rhs_k0,
 )
@@ -912,6 +881,11 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     unknown = set(ranges) - set(REGISTRY)
     if unknown:
         raise ValueError(f"unknown identities in ranges: {sorted(unknown)}")
+    for tag, bounds in ranges.items():
+        names = {name for name, _, _ in REGISTRY[tag].bounds}
+        if set(bounds) != names:
+            raise ValueError(f"{tag} bounds: missing {sorted(names - set(bounds))}, "
+                             f"unknown {sorted(set(bounds) - names)}")
     # Every cross-check reads q-Euler values within the grids of the
     # identities it relates, so the stated maxima cover them too.
     _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()
@@ -970,7 +944,7 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
     a = euler_poly_q(n).invert_q()(-1) * RatFunc((-1) ** n)
     b = q * euler_poly_q(n)(2)
     c = 2 + (1 / q) * euler_number_q(n)
-    d = moment_reduce(IntegrandExpr(-1, 0, _one_minus_x_power(n)))
+    d = moment_reduce(IntegrandExpr(-1, 0, XPoly(_int_power((1, -1), n))))
     return a, b, c, d
 
 

@@ -20,10 +20,8 @@ from qeuler.identities import (
     IntegrandExpr,
     SideConditionError,
     SuiteReport,
-    _basis_product,
-    _one_minus_x_power,
-    _thm6_lhs,
-    _x_plus_constant_power,
+    _basis_ints,
+    _int_power,
     default_ranges,
     moment_reduce,
     reflection_chain,
@@ -64,6 +62,15 @@ def test_moment_rejects_bad_integrands():
         IntegrandExpr(1, 0, (1, -1))
 
 
+@pytest.mark.parametrize("qsign, qshift, field", [
+    (1, 1.5, "qshift"), (1, "2", "qshift"), (-1, True, "qshift"),
+    (True, 0, "qsign"), (1.0, 0, "qsign"),
+])
+def test_integrand_exponents_must_be_ints(qsign, qshift, field):
+    with pytest.raises(TypeError, match=field):
+        IntegrandExpr(qsign, qshift, ONE_MINUS_X)
+
+
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 xpolys = st.lists(small_fracs, min_size=0, max_size=4).map(
     lambda cs: XPoly(tuple(cs))
@@ -101,27 +108,46 @@ def test_moment_reduce_general_coefficients_match_termwise_fold():
 # -- integrands built on integer lists -----------------------------------
 
 
+def _bernstein_product(ns, k):
+    out = XPoly((1,))
+    for n in ns:
+        out = out * bernstein_basis(k, n)
+    return out
+
+
 def test_integer_integrands_match_xpoly_products():
     for n in range(7):
-        assert _one_minus_x_power(n) == XPoly((1, -1)) ** n
+        assert XPoly(_int_power((1, -1), n)) == XPoly((1, -1)) ** n
         for c in range(-2, 5):
-            assert _x_plus_constant_power(c, n) == XPoly((c, 1)) ** n
-    for s in (1, 2, 3):
-        for ns in itertools.product(range(7), repeat=s):
-            if s == 3 and list(ns) != sorted(ns):
-                continue  # the product does not depend on the order
-            for k in range(min(ns) + 1):
-                expected = XPoly((1,))
-                for n in ns:
-                    expected = expected * bernstein_basis(k, n)
-                assert _basis_product(ns, k) == expected
+            assert XPoly(_int_power((c, 1), n)) == XPoly((c, 1)) ** n
+    for ns in itertools.product(range(5), repeat=2):
+        for k in range(min(ns) + 1):
+            assert XPoly(_basis_ints(ns, k)) == _bernstein_product(ns, k)
 
 
-def test_thm6_integrand_is_the_product_of_its_two_factors():
-    for n, m in itertools.product(range(5), repeat=2):
-        for k in range(min(n, m) + 1):
-            integrand = bernstein_basis(k, n) * bernstein_basis(k, m)
-            assert _thm6_lhs((n, m, k)) == moment_reduce(IntegrandExpr(-1, 1, integrand))
+#: Each integral identity's integrand q^qshift q^(qsign x) P(x), read off
+#: the paper and built from XPoly products: params -> (qsign, qshift, P).
+INTEGRANDS = {
+    "eq2_symbolic": lambda m, nshift: (1, nshift, XPoly((nshift, 1)) ** m),
+    "thm2_value_at_two": lambda n: (1, 1, XPoly((2, 1)) ** n),
+    "thm3_integral": lambda n: (-1, 0, XPoly((1, -1)) ** n),
+    "eq14_bernstein_moment": lambda n, k: (1, 0, bernstein_basis(k, n)),
+    "thm4": lambda n, k: (-1, 1, bernstein_basis(k, n)),
+    "thm6": lambda n, m, k: (-1, 1, bernstein_basis(k, n) * bernstein_basis(k, m)),
+    "thm8": lambda *p: (-1, 1, _bernstein_product(p[:-1], p[-1])),
+}
+
+
+@pytest.mark.parametrize("tag", list(INTEGRANDS))
+def test_integral_side_is_its_integrand_reduced(tag):
+    # the whole small grid, so permuted thm6/thm8 tuples and k = 0 included
+    grid = list(REGISTRY[tag].enumerate_params(
+        default_ranges([tag], n_max=3, m_max=3, k_max=3, s_max=3)[tag]))
+    if tag == "thm8":
+        assert {(1, 2, 0), (2, 1, 0), (1, 2, 3, 1), (3, 2, 1, 1)} <= set(grid)
+    for params in grid:
+        expected = moment_reduce(IntegrandExpr(*INTEGRANDS[tag](*params)))
+        assert REGISTRY[tag].lhs(params) == expected, params
 
 
 # -- verify_identity ---------------------------------------------------
@@ -359,6 +385,19 @@ def test_suite_rejects_unknown_tags():
         run_suite({"not_a_tag": {"n": 2}})
 
 
+@pytest.mark.parametrize("bounds, named", [
+    ({"n": 3}, r"missing \['k'\]"),
+    ({"n": 3, "k": 1, "bogus": 9}, r"unknown \['bogus'\]"),
+])
+def test_suite_rejects_wrong_bound_names_before_any_case(monkeypatch, bounds, named):
+    def no_case(tag, params):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(identities, "verify_identity", no_case)
+    with pytest.raises(ValueError, match=f"thm4 .*{named}"):
+        run_suite({"eq9_frobenius": {"n": 2}, "thm4": bounds})
+
+
 def test_suite_is_deterministic():
     ranges = default_ranges(ids=["eq9_frobenius", "thm4"], n_max=4)
     first = run_suite(ranges).to_json()
@@ -459,8 +498,8 @@ def test_suite_memos_match_fresh_verification(monkeypatch, caps):
             if r is not memos and not isinstance(r, types.FrameType)] == []
     # each entry is keyed by its own identity and side
     assert {(tag, side) for tag, side, _ in memos[0]} <= {
-        (tag, side) for tag in ("thm6", "cor7", "thm8", "cor9")
-        for side in ("lhs", "rhs", "rhs_k0")}
+        (tag, side) for tag in REGISTRY
+        for side in ("lhs", "rhs", "rhs_k0", "integrand")}
 
     # every recorded result is what a bare verify_identity computes afresh
     checked = 0
@@ -479,10 +518,32 @@ def test_suite_memos_match_fresh_verification(monkeypatch, caps):
         identity = REGISTRY[note.identity]
         assert note.coincide == (identity.rhs(note.params) == identity.rhs_k0(note.params))
 
-    # the multiset memo of thm8's left side still logs every ordered tuple
+    # the integrand memo of thm8's left side still logs every ordered tuple
     for k in (0, 1):
         for params in ((1, 2, k), (2, 1, k)):
             assert ("thm8", params, "pass") in report.case_log
+
+
+def test_thm8_tuples_with_one_integrand_share_one_memo_entry(monkeypatch):
+    memos, lhs = [], {}
+
+    def spy(params, side=REGISTRY["thm8"].lhs):
+        memos.append(identities._RUN_MEMO.get())
+        lhs[params] = side(params)
+        return lhs[params]
+
+    monkeypatch.setitem(REGISTRY, "thm8", dataclasses.replace(REGISTRY["thm8"], lhs=spy))
+    report = run_suite({"thm8": {"s": 2, "n": 3, "k": 0}})
+    shared = [(1, 3, 0), (3, 1, 0), (2, 2, 0)]
+    for params in shared:
+        assert ("thm8", params, "pass") in report.case_log
+    entries = {args: value for (tag, side, args), value in memos[0].items()
+               if (tag, side) == ("thm8", "lhs")}
+    # every k = 0 integrand is q (1-x)^(sum n_i): one entry per sum 0..6
+    assert len(entries) == 7
+    [value] = [value for (qsign, qshift, coeffs), value in entries.items()
+               if (qsign, qshift) == (-1, 1) and XPoly(coeffs) == ONE_MINUS_X**4]
+    assert all(lhs[params] is value for params in shared)
 
 
 def test_suite_memo_is_dropped_when_a_case_raises(monkeypatch):
