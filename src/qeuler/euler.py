@@ -114,8 +114,11 @@ class EulerCache:
         return self.frobenius(n, RatFunc(-1)).as_fraction()
 
     def frobenius(self, n: int, u: RatFunc) -> RatFunc:
-        self._check_index(n)
         u = RatFunc(u) if not isinstance(u, RatFunc) else u
+        values = self._frobenius.get(u)
+        if values is not None and 0 <= n < len(values):
+            return values[n]
+        self._check_index(n)
         if u == RatFunc(1):
             raise ValueError("u = 1 is a pole of the Frobenius-Euler family")
         with self._lock:

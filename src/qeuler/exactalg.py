@@ -25,22 +25,23 @@ Representation conventions used throughout the package:
   images, Bernstein coefficients and q-power prefactors keep that
   shape).  A RatFunc records (a, b) in a private slot, or None for any
   other denominator.  When both operands of ``+`` or ``*`` carry a form,
-  for ``/`` when the divisor's numerator is also c * q**j * (1+q)**i
-  (as for 1/q), and for ``invert_q`` of one, the result is built without
-  a gcd: the integer numerators are lifted to the common denominator by
-  shifts and multiplications by 1+q, combined, and then q is cancelled
-  while the constant term is 0 and 1+q, by synthetic division, while
-  the alternating coefficient sum is 0.  Every other operation, and any
-  operand with another denominator, goes through ``RatFunc(num, den)``,
-  whose ``poly_gcd`` canonicalisation then detects the form of its
-  result once.
+  and for ``invert_q`` of one, the result is built without a gcd: the
+  integer numerators are lifted to the common denominator by shifts and
+  multiplications by 1+q, combined, and then q is cancelled while the
+  constant term is 0 and 1+q, by synthetic division, while the
+  alternating coefficient sum is 0.  Every other operation, ``/``
+  included, and any operand with another denominator, goes through
+  ``RatFunc(num, den)``, whose ``poly_gcd`` canonicalisation then
+  detects the form of its result once; that takes no gcd when either
+  part is a constant, as for 1/q and 2/(1+q).
 * ``lincomb(coeffs, values)`` is the n-ary sum of c_i * v_i, for the
   integer combinations of q-Euler numbers that every identity is made
-  of.  When every term carries a form it lifts all the integer
-  numerators to the common q**A * (1+q)**B in one Horner pass over the
-  (1+q) exponents, in ascending order, with each q-shift a plain offset,
-  and strips the sum once; ``+`` on two form values is its two-term
-  case.  A term without a form makes it fall back to ``+`` and ``*``.
+  of.  When every coefficient is an int and every value carries a form
+  it lifts all the integer numerators to the common q**A * (1+q)**B in
+  one Horner pass over the (1+q) exponents, in ascending order, with
+  each q-shift a plain offset, and strips the sum once; ``+`` on two
+  form values is its two-term case.  Any other term, a Q(q)
+  coefficient included, makes it fall back to ``+`` and ``*``.
 * ``XPoly`` is a dense polynomial in a second variable x whose
   coefficients are RatFunc values, with the same trailing-zero
   convention as PolyQ.
@@ -511,20 +512,6 @@ def _denominator_form(den: PolyQ) -> tuple[int, int] | None:
     return a, b
 
 
-def _numerator_form(ints: Sequence[int]) -> tuple[int, int, int] | None:
-    """(c, j, i) when the nonzero ints are c * q**j * (1+q)**i, else None."""
-    c = ints[-1]
-    j = 0
-    while not ints[j]:
-        j += 1
-    i = len(ints) - 1 - j
-    if ints[j] != c or (i and ints[j + 1] != i * c):
-        return None
-    if i > 1 and any(v != c * r for v, r in zip(ints[j:], _form_den(0, i)._ints)):
-        return None
-    return c, j, i
-
-
 def _ratfunc(num: PolyQ, den: PolyQ, form: tuple[int, int] | None) -> RatFunc:
     """The RatFunc num/den of parts already canonical, den's form given."""
     out = object.__new__(RatFunc)
@@ -571,9 +558,10 @@ def lincomb(coeffs: Iterable[object], values: Iterable[object]) -> RatFunc:
 
     Each coefficient is an int or an element of Q(q), each value an
     element of Q(q); both sequences have the same length.  When every
-    nonzero term has a denominator q**a * (1+q)**b the sum is built by
-    ``_sum_over_forms``, one lift and one strip in all; otherwise it is
-    the left fold of ``+`` and ``*``.  The result is the same either way.
+    nonzero term has an int coefficient and a value with denominator
+    q**a * (1+q)**b the sum is built by ``_sum_over_forms``, one lift and
+    one strip in all; otherwise it is the left fold of ``+`` and ``*``.
+    The result is the same either way.
     """
     pairs = [(c if type(c) is int else _as_ratfunc(c), _as_ratfunc(v))
              for c, v in zip(coeffs, values, strict=True)]
@@ -581,21 +569,9 @@ def lincomb(coeffs: Iterable[object], values: Iterable[object]) -> RatFunc:
     for c, v in pairs:
         if not c or v.is_zero:
             continue
-        if v._form is None:
+        if type(c) is not int or v._form is None:
             break
-        a, b = v._form
-        vn = v.num
-        if type(c) is int:
-            terms.append((vn._ints, c, vn._den, a, b))
-            continue
-        if c._form is None:
-            break
-        cn = c.num
-        if len(cn._ints) == 1:  # a constant numerator only scales
-            mult, ints = cn._ints[0], vn._ints
-        else:
-            mult, ints = 1, _int_mul(cn._ints, vn._ints)
-        terms.append((ints, mult, cn._den * vn._den, a + c._form[0], b + c._form[1]))
+        terms.append((v.num._ints, c, v.num._den, *v._form))
     else:
         return _sum_over_forms(terms) if terms else _ZERO
     acc = _ZERO
@@ -743,23 +719,7 @@ class RatFunc(_Exact):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        f, g = self._form, other._form
-        form = None if f is None or g is None else _numerator_form(other.num._ints)
-        if form is None:
-            return RatFunc(self.num * other.den, self.den * other.num)
-        if self.is_zero:
-            return _ZERO
-        # (F/d) / (q**fa (1+q)**fb) * (e q**ga (1+q)**gb) / (c q**j (1+q)**i),
-        # with the q and 1+q powers netted before the strip.
-        c, j, i = form
-        e = other.num._den
-        qs, ones = g[0] - f[0] - j, g[1] - f[1] - i
-        ints = self.num._ints
-        if ones > 0:
-            ints = _int_mul(ints, _form_den(0, ones)._ints)
-        mult = e if c > 0 else -e
-        ints = [0] * max(qs, 0) + [mult * v for v in ints]
-        return _over_form(ints, self.num._den * abs(c), max(-qs, 0), max(-ones, 0))
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other: object) -> "RatFunc":
         other = _as_ratfunc_or_none(other)

@@ -42,18 +42,22 @@ every identity they relate is selected.  Beyond the reflection chain
 they compare results the suite already computed; a base tuple outside
 its own grid is verified for the check but not counted as a case.
 
-The seven integral identities state their integrand as registry data,
-params -> (qsign, qshift, integer coefficients of P), and share one left
-side, ``_integral_side``.  Within one ``run_suite`` call that side is
-computed once per distinct integrand, thm8's integrand once per multiset
-of degrees and k, and the closed forms of thm6, cor7, thm8 and cor9,
-cor7's and cor9's sums and every ``rhs_k0`` once per (n+m, k) or
-(sum n_i, s, k), the only arguments they read.  Scalar prefactors such
-as prod C(n_i, k) stay outside the memo, and every entry is keyed by tag
-and side, so no entry serves another identity or another side.  The memo
-lives in a context variable that ``run_suite`` sets on entry and resets
-on exit; a bare ``verify_identity`` computes everything afresh.  Two
-sides are compared by subtracting only when their canonical forms differ.
+Ten identities have an integral left side.  cor5, cor7 and cor9 are
+among them: their alternating sum of E_{j+sk}(1/q) against C(N-sk, j)
+(-1)^j is, by the moment rule, the integral of q^-x x^sk (1-x)^(N-sk),
+with (sk, N) = (k, n), (2k, n+m) and (s k, sum n_i).  All ten state
+their integrand as registry data, params -> (qsign, qshift, integer
+coefficients of P), and share one left side, ``_integral_side``.  Within
+one ``run_suite`` call that side is computed once per distinct
+integrand, thm8's integrand once per multiset of degrees and k, cor7's
+and cor9's once per (sk, N), and the closed forms of thm6, cor7, thm8
+and cor9 and every ``rhs_k0`` once per (n+m, k) or (sum n_i, s, k), the
+only arguments they read.  Scalar prefactors such as prod C(n_i, k)
+stay outside the memo, and every entry is keyed by tag and side, so no
+entry serves another identity or another side.  The memo lives in a
+context variable that ``run_suite`` sets on entry and resets on exit; a
+bare ``verify_identity`` computes everything afresh.  Two sides are
+compared by subtracting only when their canonical forms differ.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFun
     which ``lincomb`` takes as they are.
     """
     moment = euler_number_q if qsign == 1 else euler_number_q_inverse
-    return q**qshift * lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
+    total = lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
+    return q**qshift * total if qshift else total
 
 
 @dataclass(frozen=True)
@@ -183,11 +188,11 @@ class Identity:
     take every q-Euler value from the ``euler`` functions, which keep
     the q-Euler cache; the only other memo is the per-run one of
     ``run_suite`` (see the module docstring), which keys an integral
-    ``lhs`` on its integrand and thm8's integrand on its degree multiset
-    and k.  For the piecewise identities ``rhs`` is the k > 0 closed form
-    and ``rhs_k0(params)`` the one at k = 0; ``closed_form`` picks between
-    them, and ``run_suite`` also evaluates ``rhs`` at k = 0 for the
-    informational branch notes.
+    ``lhs`` on its integrand, thm8's integrand on its degree multiset and
+    k, and cor7's and cor9's on (sk, N).  For the piecewise identities
+    ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
+    k = 0; ``closed_form`` picks between them, and ``run_suite`` also
+    evaluates ``rhs`` at k = 0 for the informational branch notes.
     ``max_index(bounds)`` is the largest q-Euler index any tuple of the
     grid asks for (None when the identity asks for none); ``run_suite``
     checks it against the cap of the shared cache before any case runs.
@@ -301,6 +306,15 @@ def _basis_ints(ns: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _moment_sum_ints(sk: int, total: int) -> tuple[int, ...]:
+    """The integer coefficients of x^sk (1-x)^(total-sk).
+
+    Against q^-x it integrates to sum_j C(total-sk, j) (-1)^j E_{j+sk}(1/q),
+    the sum that cor5, cor7 and cor9 state.
+    """
+    return (0,) * sk + _int_power((1, -1), total - sk)
+
+
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
 
 def _eq2_rhs(params: Params) -> RatFunc:
@@ -388,13 +402,6 @@ def _thm4_rhs_k0(params: Params) -> RatFunc:
 
 # cor5: the q -> 1/q image of eq14 against thm4, piecewise in k, for n > k
 
-def _cor5_lhs(params: Params) -> RatFunc:
-    n, k = params
-    js = range(n - k + 1)
-    return lincomb([binomial(n - k, j) * (-1) ** j for j in js],
-                   [euler_number_q_inverse(k + j) for j in js])
-
-
 def _cor5_rhs(params: Params) -> RatFunc:
     n, k = params
     js = range(k + 1)
@@ -434,16 +441,8 @@ def _thm6_k0(total: int) -> RatFunc:
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
 
-def _cor7_lhs(params: Params) -> RatFunc:
-    n, m, k = params
-    return _cor7_sum(n + m, k)
-
-
-@_per_run("cor7", "lhs")
-def _cor7_sum(total: int, k: int) -> RatFunc:
-    js = range(total - 2 * k + 1)
-    return lincomb([binomial(total - 2 * k, j) * (-1) ** j for j in js],
-                   [euler_number_q_inverse(j + 2 * k) for j in js])
+#: cor7's grid repeats each (2k, n+m), so its integrand is built once per run
+_cor7_integrand = _per_run("cor7", "integrand")(_moment_sum_ints)
 
 
 def _cor7_rhs(params: Params) -> RatFunc:
@@ -507,16 +506,8 @@ def _thm8_k0(total: int) -> RatFunc:
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
 
-def _cor9_lhs(params: Params) -> RatFunc:
-    ns, k = _thm8_split(params)
-    return _cor9_sum(sum(ns), len(ns), k)
-
-
-@_per_run("cor9", "lhs")
-def _cor9_sum(total: int, s: int, k: int) -> RatFunc:
-    js = range(total - s * k + 1)
-    return lincomb([binomial(total - s * k, j) * (-1) ** j for j in js],
-                   [euler_number_q_inverse(j + s * k) for j in js])
+#: cor9's grid repeats each (sk, sum n_i), so its integrand is built once per run
+_cor9_integrand = _per_run("cor9", "integrand")(_moment_sum_ints)
 
 
 def _cor9_rhs(params: Params) -> RatFunc:
@@ -653,7 +644,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_cor5_lhs,
+    lhs=_integral_side("cor5", lambda p: (-1, 0, _moment_sum_ints(p[1], p[0]))),
     rhs=_cor5_rhs,
     rhs_k0=_cor5_rhs_k0,
 )
@@ -683,7 +674,8 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_cor7_lhs,
+    lhs=_integral_side(
+        "cor7", lambda p: (-1, 0, _cor7_integrand(2 * p[2], p[0] + p[1]))),
     rhs=_cor7_rhs,
     rhs_k0=_cor7_rhs_k0,
 )
@@ -716,7 +708,8 @@ _register(
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-    lhs=_cor9_lhs,
+    lhs=_integral_side(
+        "cor9", lambda p: (-1, 0, _cor9_integrand((len(p) - 1) * p[-1], sum(p[:-1])))),
     rhs=_cor9_rhs,
     rhs_k0=_cor9_rhs_k0,
 )
@@ -886,6 +879,10 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
         if set(bounds) != names:
             raise ValueError(f"{tag} bounds: missing {sorted(names - set(bounds))}, "
                              f"unknown {sorted(set(bounds) - names)}")
+        for name, value in bounds.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{tag} bound {name} must be a nonnegative integer, "
+                                 f"got {value!r}")
     # Every cross-check reads q-Euler values within the grids of the
     # identities it relates, so the stated maxima cover them too.
     _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()

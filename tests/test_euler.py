@@ -179,6 +179,25 @@ def test_cache_isolation():
     assert cache.frobenius(2, RatFunc(-1)) == frobenius_euler(2, RatFunc(-1))
 
 
+def test_frobenius_reads_a_computed_entry_without_dividing(monkeypatch):
+    cache = EulerCache(n_max=8)
+    first = [cache.frobenius(n, MINUS_Q_INVERSE) for n in range(6)]
+    divisions = []
+    for name in ("__truediv__", "__rtruediv__"):
+        def counted(self, other, name=name, method=getattr(RatFunc, name)):
+            divisions.append(name)
+            return method(self, other)
+        monkeypatch.setattr(RatFunc, name, counted)
+    assert [cache.frobenius(n, MINUS_Q_INVERSE) for n in range(6)] == first
+    assert divisions == []
+    # a new index still extends the list by the recurrence
+    sixth = cache.frobenius(6, MINUS_Q_INVERSE)
+    assert divisions
+    assert sixth == frobenius_euler(6, MINUS_Q_INVERSE)
+    with pytest.raises(ValueError):
+        cache.frobenius(-1, MINUS_Q_INVERSE)
+
+
 def test_table_rows_shape():
     rows = table_rows(2)
     assert [r["n"] for r in rows] == [0, 1, 2]

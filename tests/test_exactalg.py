@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import exactalg
 from qeuler.exactalg import (
     PoleError,
     PolyQ,
@@ -365,7 +364,7 @@ def test_denominator_form_path_matches_general_canonicalisation(f, g, e):
 @st.composite
 def form_divisors(draw):
     """c q^j (1+q)^i / (e q^a (1+q)^b), c = 0 now and then, canonicalised
-    through RatFunc(num, den): the divisors ``/`` takes without a gcd."""
+    through RatFunc(num, den): the shape of the divisors in the closed forms."""
     num = (PolyQ((draw(st.integers(-4, 4)),)) * PolyQ.monomial(draw(st.integers(0, 4)))
            * PolyQ((1, 1)) ** draw(st.integers(0, 4)) * Fraction(1, draw(st.integers(1, 4))))
     den = PolyQ.monomial(draw(st.integers(0, 6))) * PolyQ((1, 1)) ** draw(st.integers(0, 6))
@@ -380,24 +379,6 @@ def test_division_by_a_form_numerator_matches_general_canonicalisation(f, g):
             f / g
         return
     _assert_same_storage(f / g, RatFunc(f.num * g.den, f.den * g.num))
-
-
-def test_division_by_a_form_numerator_takes_no_gcd(monkeypatch):
-    dividends = [RatFunc(0), RatFunc(3), q, 2 / (1 + q),
-                 RatFunc(PolyQ((-1, 4, 0, 3)), PolyQ((0, 1, 2, 1)))]
-    divisors = [q, 1 + q, RatFunc(-2), q**3 / 5, -3 * q * (1 + q) ** 2 / (q * (1 + q) ** 5)]
-    expected = {(i, j): RatFunc(f.num * g.den, f.den * g.num)
-                for i, f in enumerate(dividends) for j, g in enumerate(divisors)}
-
-    def refuse(a, b):
-        raise AssertionError("poly_gcd called")
-
-    monkeypatch.setattr(exactalg, "poly_gcd", refuse)
-    for (i, j), reference in expected.items():
-        _assert_same_storage(dividends[i] / divisors[j], reference)
-    _assert_same_storage(1 / q, RatFunc(1, PolyQ((0, 1))))
-    with pytest.raises(ZeroDivisionError):
-        q / RatFunc(0)
 
 
 # -- the n-ary sum against the left fold of + and * ---------------------------

@@ -6,6 +6,7 @@ import itertools
 import types
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,33 @@ def test_integral_side_is_its_integrand_reduced(tag):
     for params in grid:
         expected = moment_reduce(IntegrandExpr(*INTEGRANDS[tag](*params)))
         assert REGISTRY[tag].lhs(params) == expected, params
+
+
+#: Each corollary's sum_j C(N-sk, j) (-1)^j E_{j+sk}(1/q), read off the
+#: paper: params -> (N, sk), the sum of the degrees and s k.
+COR_SUMS = {
+    "cor5": lambda n, k: (n, k),
+    "cor7": lambda n, m, k: (n + m, 2 * k),
+    "cor9": lambda *p: (sum(p[:-1]), (len(p) - 1) * p[-1]),
+}
+
+
+def _paper_moment_sum(total, sk):
+    acc = RatFunc(0)
+    for j in range(total - sk + 1):
+        acc = acc + comb(total - sk, j) * (-1) ** j * euler_number_q_inverse(j + sk)
+    return acc
+
+
+@pytest.mark.parametrize("tag", list(COR_SUMS))
+def test_corollary_left_side_is_the_papers_sum(tag):
+    # the whole small grid, so permuted cor7/cor9 tuples and k = 0 included
+    grid = list(REGISTRY[tag].enumerate_params(
+        default_ranges([tag], n_max=3, m_max=3, k_max=3, s_max=3)[tag]))
+    if tag == "cor9":
+        assert {(1, 2, 0), (2, 1, 0), (1, 2, 3, 1), (3, 2, 1, 1)} <= set(grid)
+    for params in grid:
+        assert REGISTRY[tag].lhs(params) == _paper_moment_sum(*COR_SUMS[tag](*params)), params
 
 
 # -- verify_identity ---------------------------------------------------
@@ -398,6 +426,16 @@ def test_suite_rejects_wrong_bound_names_before_any_case(monkeypatch, bounds, na
         run_suite({"eq9_frobenius": {"n": 2}, "thm4": bounds})
 
 
+@pytest.mark.parametrize("value", [True, "3", 2.0, -2])
+def test_suite_rejects_bad_bound_values_before_any_case(monkeypatch, value):
+    def no_case(tag, params):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(identities, "verify_identity", no_case)
+    with pytest.raises(ValueError, match=r"^thm4 bound n must be a nonnegative integer, got "):
+        run_suite({"eq9_frobenius": {"n": 2}, "thm4": {"n": value, "k": 1}})
+
+
 def test_suite_is_deterministic():
     ranges = default_ranges(ids=["eq9_frobenius", "thm4"], n_max=4)
     first = run_suite(ranges).to_json()
@@ -543,6 +581,30 @@ def test_thm8_tuples_with_one_integrand_share_one_memo_entry(monkeypatch):
     assert len(entries) == 7
     [value] = [value for (qsign, qshift, coeffs), value in entries.items()
                if (qsign, qshift) == (-1, 1) and XPoly(coeffs) == ONE_MINUS_X**4]
+    assert all(lhs[params] is value for params in shared)
+
+
+def test_cor9_tuples_with_one_sum_share_one_memo_entry(monkeypatch):
+    memos, lhs = [], {}
+
+    def spy(params, side=REGISTRY["cor9"].lhs):
+        memos.append(identities._RUN_MEMO.get())
+        lhs[params] = side(params)
+        return lhs[params]
+
+    monkeypatch.setitem(REGISTRY, "cor9", dataclasses.replace(REGISTRY["cor9"], lhs=spy))
+    report = run_suite({"cor9": {"s": 2, "n": 3, "k": 1}})
+    shared = [(1, 3, 1), (3, 1, 1), (2, 2, 1)]
+    for params in shared:
+        assert ("cor9", params, "pass") in report.case_log
+    entries = {args: value for (tag, side, args), value in memos[0].items()
+               if (tag, side) == ("cor9", "lhs")}
+    # one left side and one integrand per (sum n_i, s k)
+    sums = {COR_SUMS["cor9"](*params) for params in lhs}
+    assert len(entries) == len(sums)
+    assert len([1 for tag, side, _ in memos[0] if (tag, side) == ("cor9", "integrand")]) == len(sums)
+    [value] = [value for (qsign, qshift, coeffs), value in entries.items()
+               if (qsign, qshift) == (-1, 0) and XPoly(coeffs) == x**2 * ONE_MINUS_X**2]
     assert all(lhs[params] is value for params in shared)
 
 
