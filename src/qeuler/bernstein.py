@@ -1,15 +1,15 @@
 """Bernstein basis polynomials and the Bernstein operator, exact over Q.
 
 B_{k,n}(x) = C(n,k) x^k (1-x)^(n-k) for 0 <= k <= n, expanded into the
-monomial basis.  Coefficients are constant elements of Q(q) so the
-results compose directly with the rest of the package.
+monomial basis by the binomial theorem.  Coefficients are constant
+elements of Q(q), so the results compose with the rest of the package.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .exactalg import Rational, XPoly, binomial
+from .exactalg import Rational, XPoly, _binomial_power, binomial
 
 __all__ = ["bernstein_basis", "bernstein_operator"]
 
@@ -30,10 +30,7 @@ def _bernstein_ints(k: int, n: int) -> list[int]:
     if k > n:
         raise ValueError(f"bernstein_basis index k={k} exceeds degree n={n}")
     lead = binomial(n, k)
-    coeffs = [0] * (n + 1)
-    for j in range(n - k + 1):
-        coeffs[k + j] = lead * binomial(n - k, j) * (-1) ** j
-    return coeffs
+    return [0] * k + [lead * c for c in _binomial_power(1, -1, n - k)]
 
 
 def bernstein_operator(samples: Sequence[Rational | int], n: int) -> XPoly:

@@ -36,7 +36,7 @@ import json
 import os
 import sys
 
-from .euler import _table_values, table_rows
+from .euler import _check_cap, _table_values, table_rows
 from .exactalg import _fraction_latex
 from .identities import REGISTRY, default_ranges, run_suite
 from .padic import CALIBRATED_SLACK, witt_convergence_check
@@ -252,6 +252,7 @@ def cmd_padic(args: argparse.Namespace) -> int:
         return _usage_error(
             f"--depth {depth} is too small to decide convergence to"
             f" precision {precision}; need at least {threshold}")
+    _check_cap(args.n_max)
     x0s = args.x0s if args.x0s else [0, 1, 2]
 
     reports = []

@@ -80,7 +80,7 @@ class EulerCache:
         self._lock = threading.Lock()
         self._numbers: list[RatFunc] = [RatFunc(2, PolyQ((1, 1)))]
         self._numbers_inv: list[RatFunc] = []
-        self._frobenius: dict[RatFunc, list[RatFunc]] = {}
+        self._frobenius: dict[RatFunc, tuple[list[RatFunc], RatFunc]] = {}
 
     def _check_index(self, n: int) -> None:
         if n < 0:
@@ -115,15 +115,17 @@ class EulerCache:
 
     def frobenius(self, n: int, u: RatFunc) -> RatFunc:
         u = RatFunc(u) if not isinstance(u, RatFunc) else u
-        values = self._frobenius.get(u)
-        if values is not None and 0 <= n < len(values):
-            return values[n]
+        entry = self._frobenius.get(u)
+        if entry is not None and 0 <= n < len(entry[0]):
+            return entry[0][n]
         self._check_index(n)
         if u == RatFunc(1):
             raise ValueError("u = 1 is a pole of the Frobenius-Euler family")
         with self._lock:
-            values = self._frobenius.setdefault(u, [RatFunc(1)])
-            return _convolve_up_to(values, n, 1 / (u - 1))
+            if u not in self._frobenius:  # H_0(u) and the scale, divided once per u
+                self._frobenius[u] = ([RatFunc(1)], 1 / (u - 1))
+            values, scale = self._frobenius[u]
+            return _convolve_up_to(values, n, scale)
 
 
 def _convolve_up_to(values: list[RatFunc], n: int, scale: RatFunc) -> RatFunc:

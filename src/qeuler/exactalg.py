@@ -32,8 +32,10 @@ Representation conventions used throughout the package:
   alternating coefficient sum is 0.  Every other operation, ``/``
   included, and any operand with another denominator, goes through
   ``RatFunc(num, den)``, whose ``poly_gcd`` canonicalisation then
-  detects the form of its result once; that takes no gcd when either
-  part is a constant, as for 1/q and 2/(1+q).
+  detects the form of its result once.  The package's own quotients,
+  1/q, 2/(1+q) and each Frobenius scale 1/(u-1), are built once.
+* ``_binomial_power`` expands every two-term power (c0 + c1*t)**n by the
+  binomial theorem: q**a * (1+q)**b, Bernstein rows, integrands in x.
 * ``lincomb(coeffs, values)`` is the n-ary sum of c_i * v_i, for the
   integer combinations of q-Euler numbers that every identity is made
   of.  When every coefficient is an int and every value carries a form
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -392,6 +395,11 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _binomial_power(c0: int, c1: int, n: int) -> tuple[int, ...]:
+    """(c0 + c1*t)**n by the binomial theorem: C(n, j) c0**(n-j) c1**j at index j."""
+    return tuple(comb(n, j) * c0 ** (n - j) * c1**j for j in range(n + 1))
+
+
 def _monic(ints: list[int]) -> PolyQ:
     """The monic multiple of the nonzero integer polynomial ints."""
     lead = ints[-1]
@@ -482,18 +490,10 @@ def _as_ratfunc_or_none(value: object) -> RatFunc | None:
     return None
 
 
-#: The monic polynomials q**a * (1+q)**b built so far, keyed by (a, b).
-#: Threads that race on a key only build the same value twice.
-_FORM_DENS: dict[tuple[int, int], PolyQ] = {}
-
-
+@cache
 def _form_den(a: int, b: int) -> PolyQ:
     """The polynomial q**a * (1+q)**b, built once per (a, b)."""
-    den = _FORM_DENS.get((a, b))
-    if den is None:
-        den = _poly([0] * a + [comb(b, k) for k in range(b + 1)], 1)
-        _FORM_DENS[a, b] = den
-    return den
+    return _poly([0] * a + [*_binomial_power(1, 1, b)], 1)
 
 
 _ONE_DEN = _form_den(0, 0)

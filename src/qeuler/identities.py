@@ -47,7 +47,8 @@ among them: their alternating sum of E_{j+sk}(1/q) against C(N-sk, j)
 (-1)^j is, by the moment rule, the integral of q^-x x^sk (1-x)^(N-sk),
 with (sk, N) = (k, n), (2k, n+m) and (s k, sum n_i).  All ten state
 their integrand as registry data, params -> (qsign, qshift, integer
-coefficients of P), and share one left side, ``_integral_side``.  Within
+coefficients of P), and share one left side, ``_integral_side``.  The
+powers of 1-x and x+c in P are binomial rows.  Within
 one ``run_suite`` call that side is computed once per distinct
 integrand, thm8's integrand once per multiset of degrees and k, cor7's
 and cor9's once per (sk, N), and the closed forms of thm6, cor7, thm8
@@ -77,7 +78,7 @@ from .euler import (
     euler_poly_q,
     frobenius_euler,
 )
-from .exactalg import RatFunc, XPoly, _int_mul, binomial, lincomb, q
+from .exactalg import RatFunc, XPoly, _binomial_power, _int_mul, binomial, lincomb, q
 
 __all__ = [
     "SideConditionError",
@@ -94,6 +95,11 @@ __all__ = [
     "ExploratoryRecord",
     "BranchNote",
 ]
+
+
+#: The closed forms' quotients, each divided once here rather than per call.
+_ONE_OVER_Q = 1 / q
+_TWO_OVER_ONE_PLUS_Q = 2 / (1 + q)
 
 
 class SideConditionError(ValueError):
@@ -291,13 +297,6 @@ def _integral_side(tag: str, integrand: Callable[[Params], tuple]):
     return lambda params: reduce(*integrand(params))
 
 
-def _int_power(base: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = [1]
-    for _ in range(n):
-        out = _int_mul(out, base)
-    return tuple(out)
-
-
 def _basis_ints(ns: Sequence[int], k: int) -> tuple[int, ...]:
     """The integer coefficients of the product of the B_{k,n} over ns."""
     ints = [1]
@@ -312,7 +311,7 @@ def _moment_sum_ints(sk: int, total: int) -> tuple[int, ...]:
     Against q^-x it integrates to sum_j C(total-sk, j) (-1)^j E_{j+sk}(1/q),
     the sum that cor5, cor7 and cor9 state.
     """
-    return (0,) * sk + _int_power((1, -1), total - sk)
+    return (0,) * sk + _binomial_power(1, -1, total - sk)
 
 
 # eq2_symbolic: shifting the integration variable of q^x x^m by nshift
@@ -334,7 +333,7 @@ def _eq9_lhs(params: Params) -> RatFunc:
 
 def _eq9_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return (2 / (1 + q)) * frobenius_euler(n, MINUS_Q_INVERSE)
+    return _TWO_OVER_ONE_PLUS_Q * frobenius_euler(n, MINUS_Q_INVERSE)
 
 
 # thm1_reflection: (-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise
@@ -353,14 +352,14 @@ def _thm1_rhs(params: Params) -> XPoly:
 
 def _thm2_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return 2 + (1 / q) * euler_number_q(n)
+    return 2 + _ONE_OVER_Q * euler_number_q(n)
 
 
 # thm3_integral: integral of q^-x (1-x)^n equals 2 + (1/q) * integral of q^x x^n
 
 def _thm3_rhs(params: Params) -> RatFunc:
     (n,) = params
-    return 2 + (1 / q) * euler_number_q(n)
+    return 2 + _ONE_OVER_Q * euler_number_q(n)
 
 
 # eq14_bernstein_moment: integral of q^x B_{k,n} in terms of E_{k+j}(q)
@@ -407,12 +406,12 @@ def _cor5_rhs(params: Params) -> RatFunc:
     js = range(k + 1)
     acc = lincomb([binomial(k, j) * (-1) ** (k - j) for j in js],
                   [euler_number_q(n - j) for j in js])
-    return (1 / q) * acc
+    return _ONE_OVER_Q * acc
 
 
 def _cor5_rhs_k0(params: Params) -> RatFunc:
     n, _ = params
-    return 2 + (1 / q) * euler_number_q(n)
+    return 2 + _ONE_OVER_Q * euler_number_q(n)
 
 
 # thm6: integral of q^(1-x) B_{k,n} B_{k,m}, piecewise in k, for n + m > 2k
@@ -455,7 +454,7 @@ def _cor7_closed(total: int, k: int) -> RatFunc:
     js = range(2 * k + 1)
     acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
                   [euler_number_q(total - j) for j in js])
-    return (1 / q) * acc
+    return _ONE_OVER_Q * acc
 
 
 def _cor7_rhs_k0(params: Params) -> RatFunc:
@@ -465,7 +464,7 @@ def _cor7_rhs_k0(params: Params) -> RatFunc:
 
 @_per_run("cor7", "rhs_k0")
 def _cor7_k0(total: int) -> RatFunc:
-    return 2 + (1 / q) * euler_number_q(total)
+    return 2 + _ONE_OVER_Q * euler_number_q(total)
 
 
 # thm8: integral of q^(1-x) * product of s Bernstein factors, sum n_i > s k
@@ -520,7 +519,7 @@ def _cor9_closed(total: int, s: int, k: int) -> RatFunc:
     js = range(s * k + 1)
     acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
                   [euler_number_q(total - j) for j in js])
-    return (1 / q) * acc
+    return _ONE_OVER_Q * acc
 
 
 def _cor9_rhs_k0(params: Params) -> RatFunc:
@@ -530,7 +529,7 @@ def _cor9_rhs_k0(params: Params) -> RatFunc:
 
 @_per_run("cor9", "rhs_k0")
 def _cor9_k0(total: int) -> RatFunc:
-    return 2 + (1 / q) * euler_number_q(total)
+    return 2 + _ONE_OVER_Q * euler_number_q(total)
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -552,7 +551,7 @@ _register(
     max_index=lambda b: b["m"],
     admissible=lambda p: p[1] >= 1,
     lhs=_integral_side("eq2_symbolic",
-                       lambda p: (1, p[1], _int_power((p[1], 1), p[0]))),
+                       lambda p: (1, p[1], _binomial_power(p[1], 1, p[0]))),
     rhs=_eq2_rhs,
 )
 
@@ -581,7 +580,7 @@ _register(
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
     lhs=_integral_side("thm2_value_at_two",
-                       lambda p: (1, 1, _int_power((2, 1), p[0]))),
+                       lambda p: (1, 1, _binomial_power(2, 1, p[0]))),
     rhs=_thm2_rhs,
 )
 
@@ -595,7 +594,7 @@ _register(
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
     lhs=_integral_side("thm3_integral",
-                       lambda p: (-1, 0, _int_power((1, -1), p[0]))),
+                       lambda p: (-1, 0, _binomial_power(1, -1, p[0]))),
     rhs=_thm3_rhs,
 )
 
@@ -940,8 +939,8 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
     """
     a = euler_poly_q(n).invert_q()(-1) * RatFunc((-1) ** n)
     b = q * euler_poly_q(n)(2)
-    c = 2 + (1 / q) * euler_number_q(n)
-    d = moment_reduce(IntegrandExpr(-1, 0, XPoly(_int_power((1, -1), n))))
+    c = 2 + _ONE_OVER_Q * euler_number_q(n)
+    d = moment_reduce(IntegrandExpr(-1, 0, XPoly(_binomial_power(1, -1, n))))
     return a, b, c, d
 
 

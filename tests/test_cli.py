@@ -429,6 +429,16 @@ def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
     assert len(cache._numbers) == 1  # refused before any value beyond E_0
 
 
+def test_padic_refuses_index_above_cap_before_any_report(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "witt_convergence_check", lambda **kw: calls.append(kw))
+    code, out, err = run(capsys, ["padic", "--n-max", "129"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: index 129 exceeds")
+    assert calls == []
+
+
 def test_internal_error_is_one_line_and_exit_4(monkeypatch, capsys):
     def broken(ranges):
         raise RuntimeError("boom\nsecond line")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuler import euler
 from qeuler.euler import (
     MINUS_Q_INVERSE,
     EulerCache,
@@ -190,12 +191,27 @@ def test_frobenius_reads_a_computed_entry_without_dividing(monkeypatch):
         monkeypatch.setattr(RatFunc, name, counted)
     assert [cache.frobenius(n, MINUS_Q_INVERSE) for n in range(6)] == first
     assert divisions == []
-    # a new index still extends the list by the recurrence
+    # a new index extends the list by the recurrence, with the stored scale
     sixth = cache.frobenius(6, MINUS_Q_INVERSE)
-    assert divisions
+    assert divisions == []
     assert sixth == frobenius_euler(6, MINUS_Q_INVERSE)
     with pytest.raises(ValueError):
         cache.frobenius(-1, MINUS_Q_INVERSE)
+
+
+def test_cold_table_divides_once(monkeypatch):
+    expected = table_rows(128)
+    monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache())
+    divisions = []
+
+    def counted(self, other, method=RatFunc.__truediv__):
+        divisions.append(other)
+        return method(self, other)
+
+    monkeypatch.setattr(RatFunc, "__truediv__", counted)
+    assert table_rows(128) == expected
+    # the scale 1/(u-1) of H_n(-1/q), built with its list
+    assert divisions == [MINUS_Q_INVERSE - 1]
 
 
 def test_table_rows_shape():

@@ -15,6 +15,7 @@ from qeuler.exactalg import (
     make_rational,
     _denominator_form,
     _exact_quotient,
+    _form_den,
     lincomb,
     poly_gcd,
     q,
@@ -313,6 +314,13 @@ def test_exact_quotient_refuses_a_remainder():
 
 #: q^2 + 3 shares no factor with q(1+q), so its values take the general path.
 GENERAL_DEN = PolyQ((3, 0, 1))
+
+
+def test_form_den_is_q_power_times_one_plus_q_power():
+    for a in range(7):
+        for b in range(7):
+            assert _form_den(a, b) == PolyQ.monomial(a) * PolyQ((1, 1)) ** b
+            assert _denominator_form(_form_den(a, b)) == (a, b)
 
 
 @st.composite

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from qeuler import euler, identities
 from qeuler.bernstein import bernstein_basis
 from qeuler.euler import EulerCache, euler_number_q, euler_number_q_inverse
-from qeuler.exactalg import PolyQ, RatFunc, XPoly, q, x
+from qeuler.exactalg import PolyQ, RatFunc, XPoly, _binomial_power, q, x
 from qeuler.identities import (
     REGISTRY,
     IntegrandExpr,
     SideConditionError,
     SuiteReport,
     _basis_ints,
-    _int_power,
     default_ranges,
     moment_reduce,
     reflection_chain,
@@ -117,10 +116,8 @@ def _bernstein_product(ns, k):
 
 
 def test_integer_integrands_match_xpoly_products():
-    for n in range(7):
-        assert XPoly(_int_power((1, -1), n)) == XPoly((1, -1)) ** n
-        for c in range(-2, 5):
-            assert XPoly(_int_power((c, 1), n)) == XPoly((c, 1)) ** n
+    for c0, c1, n in itertools.product(range(-2, 5), range(-2, 5), range(9)):
+        assert XPoly(_binomial_power(c0, c1, n)) == XPoly((c0, c1)) ** n
     for ns in itertools.product(range(5), repeat=2):
         for k in range(min(ns) + 1):
             assert XPoly(_basis_ints(ns, k)) == _bernstein_product(ns, k)
@@ -606,6 +603,20 @@ def test_cor9_tuples_with_one_sum_share_one_memo_entry(monkeypatch):
     [value] = [value for (qsign, qshift, coeffs), value in entries.items()
                if (qsign, qshift) == (-1, 0) and XPoly(coeffs) == x**2 * ONE_MINUS_X**2]
     assert all(lhs[params] is value for params in shared)
+
+
+def test_suite_divides_nothing_once_the_caches_are_warm(monkeypatch):
+    ranges = default_ranges(n_max=4, s_max=2)
+    first = run_suite(ranges)
+    divisions = []
+
+    def counted(self, other, method=RatFunc.__truediv__):
+        divisions.append(other)
+        return method(self, other)
+
+    monkeypatch.setattr(RatFunc, "__truediv__", counted)
+    assert run_suite(ranges).to_json() == first.to_json()
+    assert divisions == []
 
 
 def test_suite_memo_is_dropped_when_a_case_raises(monkeypatch):
