@@ -35,7 +35,8 @@ Representation conventions used throughout the package:
   detects the form of its result once.  The package's own quotients,
   1/q, 2/(1+q) and each Frobenius scale 1/(u-1), are built once.
 * ``_binomial_power`` expands every two-term power (c0 + c1*t)**n by the
-  binomial theorem: q**a * (1+q)**b, Bernstein rows, integrands in x.
+  binomial theorem, cached: q**a * (1+q)**b, Bernstein rows, integrands
+  in x and the shifts x -> a*x + b of ``XPoly.compose_affine``.
 * ``lincomb(coeffs, values)`` is the n-ary sum of c_i * v_i, for the
   integer combinations of q-Euler numbers that every identity is made
   of.  When every coefficient is an int and every value carries a form
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -395,8 +396,13 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _binomial_power(c0: int, c1: int, n: int) -> tuple[int, ...]:
-    """(c0 + c1*t)**n by the binomial theorem: C(n, j) c0**(n-j) c1**j at index j."""
+@lru_cache(maxsize=None, typed=True)
+def _binomial_power(c0: object, c1: object, n: int) -> tuple:
+    """(c0 + c1*t)**n by the binomial theorem: C(n, j) c0**(n-j) c1**j at index j.
+
+    c0 and c1 are exact scalars or in Q(q).  The cache is typed, because 1,
+    Fraction(1) and RatFunc(1) hash alike: int arguments get an int row.
+    """
     return tuple(comb(n, j) * c0 ** (n - j) * c1**j for j in range(n + 1))
 
 
@@ -889,12 +895,15 @@ class XPoly(_Exact):
         return acc
 
     def compose_affine(self, a: object, b: object) -> "XPoly":
-        """Substitution x -> a*x + b with a, b in Q(q)."""
-        line = XPoly((b, a))
-        acc = XPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * line + XPoly((c,))
-        return acc
+        """Substitution x -> a*x + b, a and b exact scalars or in Q(q).
+
+        Coefficient j is one ``lincomb`` of the c_i against entry j of the
+        rows ``_binomial_power(b, a, i)``, gcd-free for int a and b.
+        """
+        _as_ratfunc(a), _as_ratfunc(b)  # a float shift raises TypeError
+        cs = self.coeffs
+        rows = [_binomial_power(b, a, i) for i in range(len(cs))]
+        return XPoly(lincomb([row[j] for row in rows[j:]], cs[j:]) for j in range(len(cs)))
 
     def invert_q(self) -> "XPoly":
         """Apply q -> 1/q to every coefficient."""

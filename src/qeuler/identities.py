@@ -48,17 +48,17 @@ among them: their alternating sum of E_{j+sk}(1/q) against C(N-sk, j)
 with (sk, N) = (k, n), (2k, n+m) and (s k, sum n_i).  All ten state
 their integrand as registry data, params -> (qsign, qshift, integer
 coefficients of P), and share one left side, ``_integral_side``.  The
-powers of 1-x and x+c in P are binomial rows.  Within
-one ``run_suite`` call that side is computed once per distinct
-integrand, thm8's integrand once per multiset of degrees and k, cor7's
-and cor9's once per (sk, N), and the closed forms of thm6, cor7, thm8
-and cor9 and every ``rhs_k0`` once per (n+m, k) or (sum n_i, s, k), the
-only arguments they read.  Scalar prefactors such as prod C(n_i, k)
-stay outside the memo, and every entry is keyed by tag and side, so no
-entry serves another identity or another side.  The memo lives in a
-context variable that ``run_suite`` sets on entry and resets on exit; a
-bare ``verify_identity`` computes everything afresh.  Two sides are
-compared by subtracting only when their canonical forms differ.
+powers of 1-x and x+c in P are the cached rows of ``_binomial_power``.
+Within one ``run_suite`` call that side is computed once per distinct
+integrand, thm8's integrand once per multiset of degrees and k, and the
+closed forms of thm6, cor7, thm8 and cor9 and every ``rhs_k0`` once per
+(n+m, k) or (sum n_i, s, k), the only arguments they read.  Scalar
+prefactors such as prod C(n_i, k) stay outside the memo, and every entry
+is keyed by tag and side, so no entry serves another identity or another
+side.  The memo lives in a context variable that ``run_suite`` sets on
+entry and resets on exit; a bare ``verify_identity`` computes everything
+afresh.  Two sides are compared by subtracting only when their canonical
+forms differ.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .euler import (
     euler_poly_q,
     frobenius_euler,
 )
-from .exactalg import RatFunc, XPoly, _binomial_power, _int_mul, binomial, lincomb, q
+from .exactalg import PolyQ, RatFunc, XPoly, _binomial_power, _int_mul, binomial, lincomb, q
 
 __all__ = [
     "SideConditionError",
@@ -192,13 +192,13 @@ class Identity:
     parameter k runs up to the smallest degree and to its own bound.
     ``lhs(params)`` and ``rhs(params)`` return a RatFunc or an XPoly and
     take every q-Euler value from the ``euler`` functions, which keep
-    the q-Euler cache; the only other memo is the per-run one of
-    ``run_suite`` (see the module docstring), which keys an integral
-    ``lhs`` on its integrand, thm8's integrand on its degree multiset and
-    k, and cor7's and cor9's on (sk, N).  For the piecewise identities
-    ``rhs`` is the k > 0 closed form and ``rhs_k0(params)`` the one at
-    k = 0; ``closed_form`` picks between them, and ``run_suite`` also
-    evaluates ``rhs`` at k = 0 for the informational branch notes.
+    the q-Euler cache; the only other memo of side values is the per-run
+    one of ``run_suite`` (see the module docstring), which keys an
+    integral ``lhs`` on its integrand and thm8's integrand on its degree
+    multiset and k.  For the piecewise identities ``rhs`` is the k > 0
+    closed form and ``rhs_k0(params)`` the one at k = 0; ``closed_form``
+    picks between them, and ``run_suite`` also evaluates ``rhs`` at k = 0
+    for the informational branch notes.
     ``max_index(bounds)`` is the largest q-Euler index any tuple of the
     grid asks for (None when the identity asks for none); ``run_suite``
     checks it against the cap of the shared cache before any case runs.
@@ -318,10 +318,8 @@ def _moment_sum_ints(sk: int, total: int) -> tuple[int, ...]:
 
 def _eq2_rhs(params: Params) -> RatFunc:
     m, nshift = params
-    acc = RatFunc((-1) ** nshift) * euler_number_q(m)
-    boundary = lincomb([(-1) ** (nshift - 1 - l) * l**m for l in range(nshift)],
-                       [q**l for l in range(nshift)])
-    return acc + 2 * boundary
+    boundary = PolyQ([(-1) ** (nshift - 1 - l) * l**m for l in range(nshift)])
+    return (-1) ** nshift * euler_number_q(m) + 2 * boundary
 
 
 # eq9_frobenius: E_n(q) = (2/(1+q)) H_n(-1/q)
@@ -440,10 +438,6 @@ def _thm6_k0(total: int) -> RatFunc:
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
 
-#: cor7's grid repeats each (2k, n+m), so its integrand is built once per run
-_cor7_integrand = _per_run("cor7", "integrand")(_moment_sum_ints)
-
-
 def _cor7_rhs(params: Params) -> RatFunc:
     n, m, k = params
     return _cor7_closed(n + m, k)
@@ -504,10 +498,6 @@ def _thm8_k0(total: int) -> RatFunc:
 
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
-
-#: cor9's grid repeats each (sk, sum n_i), so its integrand is built once per run
-_cor9_integrand = _per_run("cor9", "integrand")(_moment_sum_ints)
-
 
 def _cor9_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
@@ -674,7 +664,7 @@ _register(
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     lhs=_integral_side(
-        "cor7", lambda p: (-1, 0, _cor7_integrand(2 * p[2], p[0] + p[1]))),
+        "cor7", lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1]))),
     rhs=_cor7_rhs,
     rhs_k0=_cor7_rhs_k0,
 )
@@ -708,7 +698,7 @@ _register(
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_integral_side(
-        "cor9", lambda p: (-1, 0, _cor9_integrand((len(p) - 1) * p[-1], sum(p[:-1])))),
+        "cor9", lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1])))),
     rhs=_cor9_rhs,
     rhs_k0=_cor9_rhs_k0,
 )

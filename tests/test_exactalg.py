@@ -13,6 +13,7 @@ from qeuler.exactalg import (
     XPoly,
     binomial,
     make_rational,
+    _binomial_power,
     _denominator_form,
     _exact_quotient,
     _form_den,
@@ -438,3 +439,41 @@ def test_lincomb_edge_cases():
     assert lincomb([Fraction(1, 2), 3], [4, q]) == 2 + 3 * q
     with pytest.raises(ValueError):
         lincomb([1, 2], [q])
+
+
+# -- shifts x -> a*x + b from binomial rows ---------------------------------
+
+
+def _horner_compose(p, a, b):
+    """p(a*x + b) by Horner's rule on XPoly products."""
+    acc = XPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * XPoly((b, a)) + XPoly((c,))
+    return acc
+
+
+@pytest.mark.parametrize("a, b", [
+    (-1, 1), (1, 0), (2, -3), (Fraction(1, 2), Fraction(-2, 3)), (q, 1 / (1 + q)),
+])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(ratfuncs(), form_operands()), max_size=7))
+def test_compose_affine_matches_horner(a, b, coeffs):
+    p = XPoly(coeffs)
+    assert p.compose_affine(a, b) == _horner_compose(p, a, b)
+
+
+@pytest.mark.parametrize("p", [XPoly(), x**2 + q])
+@pytest.mark.parametrize("a, b", [(0.5, 1), (-1, 1.0)])
+def test_compose_affine_refuses_a_float_shift(p, a, b):
+    with pytest.raises(TypeError):
+        p.compose_affine(a, b)
+
+
+def test_binomial_power_cache_is_typed():
+    # 1, Fraction(1) and RatFunc(1) hash alike, so an untyped cache would
+    # hand the int call the RatFunc row cached first
+    _binomial_power.cache_clear()
+    rows = [_binomial_power(RatFunc(1), RatFunc(-1), 3), _binomial_power(1, -1, 3)]
+    assert rows[0] == rows[1] == (1, -3, 3, -1)
+    assert [type(c) for c in rows[0]] == [RatFunc] * 4
+    assert [type(c) for c in rows[1]] == [int] * 4

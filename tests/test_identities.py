@@ -175,6 +175,16 @@ def test_corollary_left_side_is_the_papers_sum(tag):
         assert REGISTRY[tag].lhs(params) == _paper_moment_sum(*COR_SUMS[tag](*params)), params
 
 
+def test_eq2_closed_form_is_the_papers_sum():
+    # (-1)^nshift E_m(q) + 2 sum_l (-1)^(nshift-1-l) l^m q^l
+    for m, nshift in itertools.product(range(7), range(1, 9)):
+        boundary = RatFunc(0)
+        for l in range(nshift):
+            boundary = boundary + (-1) ** (nshift - 1 - l) * l**m * q**l
+        expected = (-1) ** nshift * euler_number_q(m) + 2 * boundary
+        assert REGISTRY["eq2_symbolic"].rhs((m, nshift)) == expected, (m, nshift)
+
+
 # -- verify_identity ---------------------------------------------------
 
 
@@ -596,10 +606,9 @@ def test_cor9_tuples_with_one_sum_share_one_memo_entry(monkeypatch):
         assert ("cor9", params, "pass") in report.case_log
     entries = {args: value for (tag, side, args), value in memos[0].items()
                if (tag, side) == ("cor9", "lhs")}
-    # one left side and one integrand per (sum n_i, s k)
+    # one left side per (sum n_i, s k)
     sums = {COR_SUMS["cor9"](*params) for params in lhs}
     assert len(entries) == len(sums)
-    assert len([1 for tag, side, _ in memos[0] if (tag, side) == ("cor9", "integrand")]) == len(sums)
     [value] = [value for (qsign, qshift, coeffs), value in entries.items()
                if (qsign, qshift) == (-1, 0) and XPoly(coeffs) == x**2 * ONE_MINUS_X**2]
     assert all(lhs[params] is value for params in shared)
