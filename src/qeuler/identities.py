@@ -39,8 +39,9 @@ through it.  The k = 0 cases also record informationally whether the
 general k > 0 formula would have produced the same value (it does not,
 in general).  Cross-checks between identities (tags xcheck_*) run when
 every identity they relate is selected.  Beyond the reflection chain
-they compare results the suite already computed; a base tuple outside
-its own grid is verified for the check but not counted as a case.
+they compare results the suite already computed; a base tuple whose
+orbit the run has not met is verified for the check but not counted as
+a case.
 
 Ten identities have an integral left side.  cor5, cor7 and cor9 are
 among them: their alternating sum of E_{j+sk}(1/q) against C(N-sk, j)
@@ -49,25 +50,29 @@ with (sk, N) = (k, n), (2k, n+m) and (s k, sum n_i).  All ten state
 their integrand as registry data, params -> (qsign, qshift, integer
 coefficients of P), and share one left side, ``_integral_side``.  The
 powers of 1-x and x+c in P are the cached rows of ``_binomial_power``.
-Within one ``run_suite`` call that side is computed once per distinct
-integrand, thm8's integrand once per multiset of degrees and k, and the
-closed forms of thm6, cor7, thm8 and cor9 and every ``rhs_k0`` once per
-(n+m, k) or (sum n_i, s, k), the only arguments they read.  Scalar
-prefactors such as prod C(n_i, k) stay outside the memo, and every entry
-is keyed by tag and side, so no entry serves another identity or another
-side.  The memo lives in a context variable that ``run_suite`` sets on
-entry and resets on exit; a bare ``verify_identity`` computes everything
-afresh.  Two sides are compared by subtracting only when their canonical
-forms differ.
+
+Each entry also states which tuples have the same two sides: its
+``orbit`` key.  A product of Bernstein factors commutes, so thm6 and
+thm8 read their degrees as a multiset; cor7 and cor9 read only the
+degree sum, s and k; and at k = 0 every factor B_{0,n} is (1-x)^n, so
+thm6 and thm8 read only the degree sum.  Within one ``run_suite`` call
+each orbit is verified once, at its first tuple, and every other tuple
+of it is recorded with its own params and the first tuple's sides.  The
+sums of thm6 and thm8 are further memoised per run on (n+m, k) and
+(sum n_i, s, k), which distinct orbits share; scalar prefactors such as
+prod C(n_i, k) stay outside that memo.  The memo lives in a context
+variable that ``run_suite`` sets on entry and resets on exit; a bare
+``verify_identity`` computes everything afresh.  Two sides are compared
+by subtracting only when their canonical forms differ.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import wraps
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .bernstein import _bernstein_ints, bernstein_basis
 from .euler import (
@@ -192,13 +197,14 @@ class Identity:
     parameter k runs up to the smallest degree and to its own bound.
     ``lhs(params)`` and ``rhs(params)`` return a RatFunc or an XPoly and
     take every q-Euler value from the ``euler`` functions, which keep
-    the q-Euler cache; the only other memo of side values is the per-run
-    one of ``run_suite`` (see the module docstring), which keys an
-    integral ``lhs`` on its integrand and thm8's integrand on its degree
-    multiset and k.  For the piecewise identities ``rhs`` is the k > 0
+    the q-Euler cache.  For the piecewise identities ``rhs`` is the k > 0
     closed form and ``rhs_k0(params)`` the one at k = 0; ``closed_form``
     picks between them, and ``run_suite`` also evaluates ``rhs`` at k = 0
     for the informational branch notes.
+    ``orbit(params)`` is a key such that tuples with one key have the same
+    ``lhs``, the same closed form and the same ``rhs``; ``run_suite``
+    verifies each key once per run (see the module docstring).  The
+    default key is the tuple itself.
     ``max_index(bounds)`` is the largest q-Euler index any tuple of the
     grid asks for (None when the identity asks for none); ``run_suite``
     checks it against the cap of the shared cache before any case runs.
@@ -212,6 +218,7 @@ class Identity:
     admissible: Callable[[Params], bool] = lambda params: True
     rhs_k0: Callable[[Params], object] | None = None
     max_index: Callable[[Bounds], int] | None = None
+    orbit: Callable[[Params], Hashable] = lambda params: params
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -286,15 +293,13 @@ def _per_run(tag: str, side: str):
 
 # integral left sides and the integer integrands they reduce
 
-def _integral_side(tag: str, integrand: Callable[[Params], tuple]):
+def _integral_side(integrand: Callable[[Params], tuple]):
     """The left side: params -> the reduced integral of ``integrand(params)``.
 
     An integrand q^qshift * q^(qsign*x) * P(x) is (qsign, qshift, the tuple
-    of integer coefficients of P in x).  The reduction is memoised per run
-    on the integrand, so tuples with one integrand share it.
+    of integer coefficients of P in x).
     """
-    reduce = _per_run(tag, "lhs")(_reduce_moments)
-    return lambda params: reduce(*integrand(params))
+    return lambda params: _reduce_moments(*integrand(params))
 
 
 def _basis_ints(ns: Sequence[int], k: int) -> tuple[int, ...]:
@@ -428,48 +433,33 @@ def _thm6_sum(total: int, k: int) -> RatFunc:
 
 def _thm6_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return _thm6_k0(n + m)
+    return 2 * q + euler_number_q(n + m)
 
 
-@_per_run("thm6", "rhs_k0")
-def _thm6_k0(total: int) -> RatFunc:
-    return 2 * q + euler_number_q(total)
+def _thm6_orbit(params: Params) -> tuple:
+    n, m, k = params
+    return (n + m,) if k == 0 else (min(n, m), max(n, m), k)
 
 
 # cor7: alternating sum of E_{j+2k}(1/q) against thm6, for n + m > 2k
 
 def _cor7_rhs(params: Params) -> RatFunc:
     n, m, k = params
-    return _cor7_closed(n + m, k)
-
-
-@_per_run("cor7", "rhs")
-def _cor7_closed(total: int, k: int) -> RatFunc:
     js = range(2 * k + 1)
     acc = lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
-                  [euler_number_q(total - j) for j in js])
+                  [euler_number_q(n + m - j) for j in js])
     return _ONE_OVER_Q * acc
 
 
 def _cor7_rhs_k0(params: Params) -> RatFunc:
     n, m, _ = params
-    return _cor7_k0(n + m)
-
-
-@_per_run("cor7", "rhs_k0")
-def _cor7_k0(total: int) -> RatFunc:
-    return 2 + _ONE_OVER_Q * euler_number_q(total)
+    return 2 + _ONE_OVER_Q * euler_number_q(n + m)
 
 
 # thm8: integral of q^(1-x) * product of s Bernstein factors, sum n_i > s k
 
 def _thm8_split(params: Params) -> tuple[tuple[int, ...], int]:
     return params[:-1], params[-1]
-
-
-#: thm8's grid repeats each degree multiset in every order, so its
-#: integrand is built once per run on the sorted degrees and k
-_thm8_product = _per_run("thm8", "integrand")(_basis_ints)
 
 
 def _thm8_rhs(params: Params) -> RatFunc:
@@ -489,23 +479,19 @@ def _thm8_sum(total: int, s: int, k: int) -> RatFunc:
 
 def _thm8_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return _thm8_k0(sum(ns))
+    return 2 * q + euler_number_q(sum(ns))
 
 
-@_per_run("thm8", "rhs_k0")
-def _thm8_k0(total: int) -> RatFunc:
-    return 2 * q + euler_number_q(total)
+def _thm8_orbit(params: Params) -> tuple:
+    ns, k = _thm8_split(params)
+    return (sum(ns),) if k == 0 else (tuple(sorted(ns)), k)
 
 
 # cor9: alternating sum of E_{j+sk}(1/q) against thm8, sum n_i > s k
 
 def _cor9_rhs(params: Params) -> RatFunc:
     ns, k = _thm8_split(params)
-    return _cor9_closed(sum(ns), len(ns), k)
-
-
-@_per_run("cor9", "rhs")
-def _cor9_closed(total: int, s: int, k: int) -> RatFunc:
+    total, s = sum(ns), len(ns)
     js = range(s * k + 1)
     acc = lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
                   [euler_number_q(total - j) for j in js])
@@ -514,12 +500,7 @@ def _cor9_closed(total: int, s: int, k: int) -> RatFunc:
 
 def _cor9_rhs_k0(params: Params) -> RatFunc:
     ns, _ = _thm8_split(params)
-    return _cor9_k0(sum(ns))
-
-
-@_per_run("cor9", "rhs_k0")
-def _cor9_k0(total: int) -> RatFunc:
-    return 2 + _ONE_OVER_Q * euler_number_q(total)
+    return 2 + _ONE_OVER_Q * euler_number_q(sum(ns))
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -540,8 +521,7 @@ _register(
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
     max_index=lambda b: b["m"],
     admissible=lambda p: p[1] >= 1,
-    lhs=_integral_side("eq2_symbolic",
-                       lambda p: (1, p[1], _binomial_power(p[1], 1, p[0]))),
+    lhs=_integral_side(lambda p: (1, p[1], _binomial_power(p[1], 1, p[0]))),
     rhs=_eq2_rhs,
 )
 
@@ -569,8 +549,7 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_integral_side("thm2_value_at_two",
-                       lambda p: (1, 1, _binomial_power(2, 1, p[0]))),
+    lhs=_integral_side(lambda p: (1, 1, _binomial_power(2, 1, p[0]))),
     rhs=_thm2_rhs,
 )
 
@@ -583,8 +562,7 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_integral_side("thm3_integral",
-                       lambda p: (-1, 0, _binomial_power(1, -1, p[0]))),
+    lhs=_integral_side(lambda p: (-1, 0, _binomial_power(1, -1, p[0]))),
     rhs=_thm3_rhs,
 )
 
@@ -597,8 +575,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side("eq14_bernstein_moment",
-                       lambda p: (1, 0, _basis_ints(p[:1], p[1]))),
+    lhs=_integral_side(lambda p: (1, 0, _basis_ints(p[:1], p[1]))),
     rhs=_eq14_rhs,
 )
 
@@ -619,7 +596,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side("thm4", lambda p: (-1, 1, _basis_ints(p[:1], p[1]))),
+    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:1], p[1]))),
     rhs=_thm4_rhs,
     rhs_k0=_thm4_rhs_k0,
 )
@@ -633,7 +610,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side("cor5", lambda p: (-1, 0, _moment_sum_ints(p[1], p[0]))),
+    lhs=_integral_side(lambda p: (-1, 0, _moment_sum_ints(p[1], p[0]))),
     rhs=_cor5_rhs,
     rhs_k0=_cor5_rhs_k0,
 )
@@ -648,9 +625,10 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_integral_side("thm6", lambda p: (-1, 1, _basis_ints(p[:2], p[2]))),
+    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:2], p[2]))),
     rhs=_thm6_rhs,
     rhs_k0=_thm6_rhs_k0,
+    orbit=_thm6_orbit,
 )
 
 _register(
@@ -663,10 +641,10 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_integral_side(
-        "cor7", lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1]))),
+    lhs=_integral_side(lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1]))),
     rhs=_cor7_rhs,
     rhs_k0=_cor7_rhs_k0,
+    orbit=lambda p: (p[0] + p[1], p[2]),
 )
 
 _register(
@@ -680,10 +658,10 @@ _register(
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-    lhs=_integral_side(
-        "thm8", lambda p: (-1, 1, _thm8_product(tuple(sorted(p[:-1])), p[-1]))),
+    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:-1], p[-1]))),
     rhs=_thm8_rhs,
     rhs_k0=_thm8_rhs_k0,
+    orbit=_thm8_orbit,
 )
 
 _register(
@@ -698,9 +676,10 @@ _register(
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     lhs=_integral_side(
-        "cor9", lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1])))),
+        lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1])))),
     rhs=_cor9_rhs,
     rhs_k0=_cor9_rhs_k0,
+    orbit=lambda p: (sum(p[:-1]), len(p) - 1, p[-1]),
 )
 
 
@@ -883,27 +862,43 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
         _RUN_MEMO.reset(token)
 
 
+def _verify_orbit(orbits: dict, key: tuple[str, Hashable],
+                  params: Params) -> VerificationResult:
+    """The result of the orbit ``key`` = (tag, orbit key) in ``orbits``.
+
+    Verified at ``params`` when the run meets the key first.
+    """
+    first = orbits.get(key)
+    if first is None:
+        first = orbits[key] = verify_identity(key[0], params)
+    return first
+
+
 def _run_cases(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     report = SuiteReport()
     results: dict[tuple[str, Params], VerificationResult] = {}
+    orbits: dict[tuple[str, Hashable], VerificationResult] = {}
+    coincide: dict[tuple[str, Hashable], bool] = {}
     for tag, identity in REGISTRY.items():
         if tag not in ranges:
             continue
         bounds = ranges[tag]
         for params in sorted(identity.enumerate_params(bounds)):
-            if identity.admissible(params):
-                result = verify_identity(tag, params)
-                results[tag, params] = result
-                report.record(result)
-                if identity.rhs_k0 is not None and params[-1] == 0:
-                    general = identity.rhs(params)
-                    report.branch_notes.append(
-                        BranchNote(tag, params, general == result.rhs)
-                    )
-            else:
+            if not identity.admissible(params):
                 report.skipped += 1
                 report.exploratory.append(_exploratory_eval(identity, params))
-    for result in _cross_check_results(ranges, results):
+                continue
+            key = (tag, identity.orbit(params))
+            first = _verify_orbit(orbits, key, params)
+            result = first if first.params == params else VerificationResult(
+                tag, params, first.lhs, first.rhs, first.equal, first.difference)
+            results[tag, params] = result
+            report.record(result)
+            if identity.rhs_k0 is not None and params[-1] == 0:
+                if key not in coincide:
+                    coincide[key] = identity.rhs(params) == result.rhs
+                report.branch_notes.append(BranchNote(tag, params, coincide[key]))
+    for result in _cross_check_results(ranges, results, orbits):
         report.record(result)
     return report
 
@@ -937,17 +932,16 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
 def _cross_check_results(
     ranges: Mapping[str, Mapping[str, int]],
     results: Mapping[tuple[str, Params], VerificationResult],
+    orbits: dict,
 ) -> Iterator[VerificationResult]:
     """The xcheck_* cases, read off ``results``: (tag, params) -> suite case.
 
     Every check but the reflection chain compares recorded values.  A
-    base tuple outside its own identity's grid is verified here once,
+    base tuple of an orbit the run has not met is verified here once,
     for the check, and is not counted as a case.
     """
-    @cache
     def recorded(tag: str, params: Params) -> VerificationResult:
-        key = (tag, params)
-        return results[key] if key in results else verify_identity(tag, params)
+        return _verify_orbit(orbits, (tag, REGISTRY[tag].orbit(params)), params)
 
     chain_tags = ("thm1_reflection", "thm2_value_at_two", "thm3_integral")
     if all(tag in ranges for tag in chain_tags):

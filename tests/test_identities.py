@@ -517,6 +517,8 @@ def test_suite_evaluates_each_case_once(monkeypatch, caps):
 @pytest.mark.parametrize("caps", [
     {"n_max": 4, "s_max": 2},
     {"n_max": 3, "m_max": 2, "k_max": 1, "s_max": 3},
+    # thm8 and cor9 at s = 4, so orbits of several orders and sizes
+    {"n_max": 3, "m_max": 3, "k_max": 2, "s_max": 4},
 ])
 def test_suite_memos_match_fresh_verification(monkeypatch, caps):
     recorded, memos = [], []
@@ -541,12 +543,11 @@ def test_suite_memos_match_fresh_verification(monkeypatch, caps):
     gc.collect()
     assert [r for r in gc.get_referrers(memos[0])
             if r is not memos and not isinstance(r, types.FrameType)] == []
-    # each entry is keyed by its own identity and side
-    assert {(tag, side) for tag, side, _ in memos[0]} <= {
-        (tag, side) for tag in REGISTRY
-        for side in ("lhs", "rhs", "rhs_k0", "integrand")}
+    # only the sums of thm6 and thm8 are memoised, each under its own tag
+    assert {(tag, side) for tag, side, _ in memos[0]} <= {("thm6", "rhs"), ("thm8", "rhs")}
 
-    # every recorded result is what a bare verify_identity computes afresh
+    # every recorded result, verified once per orbit, is what a bare
+    # verify_identity computes afresh at the tuple's own params
     checked = 0
     for result in recorded:
         if result.identity in REGISTRY:
@@ -563,55 +564,67 @@ def test_suite_memos_match_fresh_verification(monkeypatch, caps):
         identity = REGISTRY[note.identity]
         assert note.coincide == (identity.rhs(note.params) == identity.rhs_k0(note.params))
 
-    # the integrand memo of thm8's left side still logs every ordered tuple
+    # an orbit still logs every ordered tuple
     for k in (0, 1):
         for params in ((1, 2, k), (2, 1, k)):
             assert ("thm8", params, "pass") in report.case_log
 
 
-def test_thm8_tuples_with_one_integrand_share_one_memo_entry(monkeypatch):
-    memos, lhs = [], {}
+def _orbit_lhs_calls(monkeypatch, tag, bounds):
+    """Run one identity; count its lhs calls per orbit and keep each case's lhs."""
+    identity, calls, recorded = REGISTRY[tag], Counter(), {}
+    record = SuiteReport.record
 
-    def spy(params, side=REGISTRY["thm8"].lhs):
-        memos.append(identities._RUN_MEMO.get())
-        lhs[params] = side(params)
-        return lhs[params]
+    def keep(self, result):
+        recorded[result.params] = result.lhs
+        record(self, result)
 
-    monkeypatch.setitem(REGISTRY, "thm8", dataclasses.replace(REGISTRY["thm8"], lhs=spy))
-    report = run_suite({"thm8": {"s": 2, "n": 3, "k": 0}})
-    shared = [(1, 3, 0), (3, 1, 0), (2, 2, 0)]
-    for params in shared:
-        assert ("thm8", params, "pass") in report.case_log
-    entries = {args: value for (tag, side, args), value in memos[0].items()
-               if (tag, side) == ("thm8", "lhs")}
-    # every k = 0 integrand is q (1-x)^(sum n_i): one entry per sum 0..6
-    assert len(entries) == 7
-    [value] = [value for (qsign, qshift, coeffs), value in entries.items()
-               if (qsign, qshift) == (-1, 1) and XPoly(coeffs) == ONE_MINUS_X**4]
-    assert all(lhs[params] is value for params in shared)
+    def counted(params, side=identity.lhs):
+        if identity.admissible(params):
+            calls[identity.orbit(params)] += 1
+        return side(params)
+
+    monkeypatch.setattr(SuiteReport, "record", keep)
+    monkeypatch.setitem(REGISTRY, tag, dataclasses.replace(identity, lhs=counted))
+    report = run_suite({tag: bounds})
+    assert report.failed == 0
+    return calls, recorded
 
 
-def test_cor9_tuples_with_one_sum_share_one_memo_entry(monkeypatch):
-    memos, lhs = [], {}
+def test_thm8_tuples_with_one_integrand_share_one_lhs_call(monkeypatch):
+    calls, lhs = _orbit_lhs_calls(monkeypatch, "thm8", {"s": 2, "n": 3, "k": 0})
+    # every k = 0 integrand is q (1-x)^(sum n_i): one call per sum 1..6
+    assert calls == {(total,): 1 for total in range(1, 7)}
+    # one sum, so one orbit, across s = 1 and s = 2
+    shared = [(3, 0), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)]
+    assert all(lhs[params] is lhs[shared[0]] for params in shared)
+    assert lhs[shared[0]] == moment_reduce(IntegrandExpr(-1, 1, ONE_MINUS_X**3))
 
-    def spy(params, side=REGISTRY["cor9"].lhs):
-        memos.append(identities._RUN_MEMO.get())
-        lhs[params] = side(params)
-        return lhs[params]
 
-    monkeypatch.setitem(REGISTRY, "cor9", dataclasses.replace(REGISTRY["cor9"], lhs=spy))
-    report = run_suite({"cor9": {"s": 2, "n": 3, "k": 1}})
+def test_cor9_tuples_with_one_sum_share_one_lhs_call(monkeypatch):
+    calls, lhs = _orbit_lhs_calls(monkeypatch, "cor9", {"s": 2, "n": 3, "k": 1})
+    # one call per (sum n_i, s, k) of the admissible grid
+    grid = [p for p in REGISTRY["cor9"].enumerate_params({"s": 2, "n": 3, "k": 1})
+            if REGISTRY["cor9"].admissible(p)]
+    assert calls == {(sum(p[:-1]), len(p) - 1, p[-1]): 1 for p in grid}
     shared = [(1, 3, 1), (3, 1, 1), (2, 2, 1)]
-    for params in shared:
-        assert ("cor9", params, "pass") in report.case_log
-    entries = {args: value for (tag, side, args), value in memos[0].items()
-               if (tag, side) == ("cor9", "lhs")}
-    # one left side per (sum n_i, s k)
-    sums = {COR_SUMS["cor9"](*params) for params in lhs}
-    assert len(entries) == len(sums)
-    [value] = [value for (qsign, qshift, coeffs), value in entries.items()
-               if (qsign, qshift) == (-1, 0) and XPoly(coeffs) == x**2 * ONE_MINUS_X**2]
-    assert all(lhs[params] is value for params in shared)
+    assert all(lhs[params] is lhs[shared[0]] for params in shared)
+    assert lhs[shared[0]] == _paper_moment_sum(4, 2)
+
+
+def test_orbit_shared_failure_keeps_each_tuples_params(monkeypatch):
+    # a wrong closed form that is still symmetric, so orbits stay orbits
+    identity = REGISTRY["thm6"]
+    wrong = dataclasses.replace(identity, rhs=lambda p, f=identity.rhs: f(p) + 1,
+                                rhs_k0=lambda p, f=identity.rhs_k0: f(p) + 1)
+    monkeypatch.setitem(REGISTRY, "thm6", wrong)
+    bounds = {"n": 3, "m": 3, "k": 2}
+    grid = [p for p in sorted(wrong.enumerate_params(bounds)) if wrong.admissible(p)]
+    assert {(1, 2, 0), (2, 1, 0), (0, 3, 0), (2, 3, 1), (3, 2, 1)} <= set(grid)
+    report = run_suite({"thm6": bounds})
+    assert [result.params for result in report.failures] == grid
+    assert report.case_log == [("thm6", params, "fail") for params in grid]
+    assert report.failed == report.cases == len(grid)
 
 
 def test_suite_divides_nothing_once_the_caches_are_warm(monkeypatch):
