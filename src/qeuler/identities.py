@@ -58,19 +58,19 @@ degree sum, s and k; and at k = 0 every factor B_{0,n} is (1-x)^n, so
 thm6 and thm8 read only the degree sum.  Within one ``run_suite`` call
 each orbit is verified once, at its first tuple, and every other tuple
 of it is recorded with its own params and the first tuple's sides.  The
-sums of thm6 and thm8 are further memoised per run on (n+m, k) and
-(sum n_i, s, k), which distinct orbits share; scalar prefactors such as
-prod C(n_i, k) stay outside that memo.  The memo lives in a context
-variable that ``run_suite`` sets on entry and resets on exit; a bare
-``verify_identity`` computes everything afresh.  Two sides are compared
-by subtracting only when their canonical forms differ.
+sums of thm6 and thm8, which distinct orbits share, are pure functions
+of (n+m, k) and (sum n_i, s, k) and are cached by argument for the
+process, like the q-Euler values they read and bounded by the same cap;
+scalar prefactors such as prod C(n_i, k) stay outside them.
+``run_suite`` and a bare ``verify_identity`` compute through the same
+functions.  Two sides are compared by subtracting only when their
+canonical forms differ.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cache
 from itertools import product
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
@@ -263,34 +263,6 @@ def _check_params(identity: Identity, params: Params) -> Params:
     return params
 
 
-# per-run memos of the sides that many grid tuples share
-
-#: The memo of the run_suite call in progress, None outside one.  It maps
-#: (tag, side, arguments) to the value of that side's core.
-_RUN_MEMO: ContextVar[dict | None] = ContextVar("qeuler_run_memo", default=None)
-
-
-def _per_run(tag: str, side: str):
-    """Memoise a side's core on its arguments for one run_suite call.
-
-    Keys carry the tag and the side, so no entry serves another identity
-    or another side.  Outside run_suite every call computes afresh.
-    """
-    def decorate(fn):
-        @wraps(fn)
-        def memoised(*args):
-            memo = _RUN_MEMO.get()
-            if memo is None:
-                return fn(*args)
-            key = (tag, side, args)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = fn(*args)
-            return value
-        return memoised
-    return decorate
-
-
 # integral left sides and the integer integrands they reduce
 
 def _integral_side(integrand: Callable[[Params], tuple]):
@@ -424,7 +396,7 @@ def _thm6_rhs(params: Params) -> RatFunc:
     return binomial(n, k) * binomial(m, k) * _thm6_sum(n + m, k)
 
 
-@_per_run("thm6", "rhs")
+@cache
 def _thm6_sum(total: int, k: int) -> RatFunc:
     js = range(2 * k + 1)
     return lincomb([binomial(2 * k, j) * (-1) ** (j + 2 * k) for j in js],
@@ -470,7 +442,7 @@ def _thm8_rhs(params: Params) -> RatFunc:
     return lead * _thm8_sum(sum(ns), len(ns), k)
 
 
-@_per_run("thm8", "rhs")
+@cache
 def _thm8_sum(total: int, s: int, k: int) -> RatFunc:
     js = range(s * k + 1)
     return lincomb([binomial(s * k, j) * (-1) ** (s * k + j) for j in js],
@@ -509,6 +481,13 @@ REGISTRY: dict[str, Identity] = {}
 def _register(**fields) -> None:
     identity = Identity(**fields)
     REGISTRY[identity.tag] = identity
+
+
+def _lookup(tag: str) -> Identity:
+    identity = REGISTRY.get(tag)
+    if identity is None:
+        raise ValueError(f"unknown identity {tag!r}; known: {', '.join(REGISTRY)}")
+    return identity
 
 
 _register(
@@ -689,9 +668,7 @@ def verify_identity(tag: str, params: Sequence[int]) -> VerificationResult:
     Raises SideConditionError when the tuple violates the identity's
     hypothesis and ValueError for malformed parameters or unknown tags.
     """
-    identity = REGISTRY.get(tag)
-    if identity is None:
-        raise ValueError(f"unknown identity {tag!r}; known: {', '.join(REGISTRY)}")
+    identity = _lookup(tag)
     params = _check_params(identity, tuple(params))
     if not identity.admissible(params):
         raise SideConditionError(f"{tag} side condition fails at {params}")
@@ -810,9 +787,7 @@ def default_ranges(
     selected = list(REGISTRY) if ids is None else list(ids)
     ranges: dict[str, dict[str, int]] = {}
     for tag in selected:
-        identity = REGISTRY.get(tag)
-        if identity is None:
-            raise ValueError(f"unknown identity {tag!r}; known: {', '.join(REGISTRY)}")
+        identity = _lookup(tag)
         resolved = {}
         for bound_name, flag, default in identity.bounds:
             value = overrides.get(flag)
@@ -855,11 +830,7 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     # identities it relates, so the stated maxima cover them too.
     _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()
                     if REGISTRY[tag].max_index is not None), default=0))
-    token = _RUN_MEMO.set({})
-    try:
-        return _run_cases(ranges)
-    finally:
-        _RUN_MEMO.reset(token)
+    return _run_cases(ranges)
 
 
 def _verify_orbit(orbits: dict, key: tuple[str, Hashable],

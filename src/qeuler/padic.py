@@ -140,6 +140,9 @@ class PAdic:
     residue: int
 
     def __post_init__(self):
+        for name in ("p", "M", "residue"):
+            if not isinstance(getattr(self, name), int):
+                raise TypeError(f"PAdic needs an int {name}: {getattr(self, name)!r}")
         _check_parameters(self.p, self.M)
         object.__setattr__(self, "residue", self.residue % self.p**self.M)
 

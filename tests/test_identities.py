@@ -1,9 +1,7 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
 import dataclasses
-import gc
 import itertools
-import types
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -520,31 +518,21 @@ def test_suite_evaluates_each_case_once(monkeypatch, caps):
     # thm8 and cor9 at s = 4, so orbits of several orders and sizes
     {"n_max": 3, "m_max": 3, "k_max": 2, "s_max": 4},
 ])
-def test_suite_memos_match_fresh_verification(monkeypatch, caps):
-    recorded, memos = [], []
+def test_suite_orbits_match_fresh_verification(monkeypatch, caps):
+    recorded = []
     record = SuiteReport.record
 
     def keep(self, result):
         recorded.append(result)
         record(self, result)
 
-    def spy(params, lhs=REGISTRY["thm8"].lhs):
-        memos.append(identities._RUN_MEMO.get())
-        return lhs(params)
-
     monkeypatch.setattr(SuiteReport, "record", keep)
-    monkeypatch.setitem(REGISTRY, "thm8", dataclasses.replace(REGISTRY["thm8"], lhs=spy))
     report = run_suite(default_ranges(**caps))
     monkeypatch.undo()
 
-    # one memo for the whole run, gone when it returns
-    assert memos and all(memo is memos[0] for memo in memos)
-    assert identities._RUN_MEMO.get() is None
-    gc.collect()
-    assert [r for r in gc.get_referrers(memos[0])
-            if r is not memos and not isinstance(r, types.FrameType)] == []
-    # only the sums of thm6 and thm8 are memoised, each under its own tag
-    assert {(tag, side) for tag, side, _ in memos[0]} <= {("thm6", "rhs"), ("thm8", "rhs")}
+    # the sums of thm6 and thm8 are cached by argument; start them afresh
+    identities._thm6_sum.cache_clear()
+    identities._thm8_sum.cache_clear()
 
     # every recorded result, verified once per orbit, is what a bare
     # verify_identity computes afresh at the tuple's own params
@@ -639,16 +627,6 @@ def test_suite_divides_nothing_once_the_caches_are_warm(monkeypatch):
     monkeypatch.setattr(RatFunc, "__truediv__", counted)
     assert run_suite(ranges).to_json() == first.to_json()
     assert divisions == []
-
-
-def test_suite_memo_is_dropped_when_a_case_raises(monkeypatch):
-    def broken(params):
-        raise RuntimeError("broken side")
-
-    monkeypatch.setitem(REGISTRY, "cor9", dataclasses.replace(REGISTRY["cor9"], lhs=broken))
-    with pytest.raises(RuntimeError):
-        run_suite(default_ranges(ids=["thm8", "cor9"], n_max=2, s_max=2))
-    assert identities._RUN_MEMO.get() is None
 
 
 def test_suite_exploratory_flag():

@@ -92,6 +92,9 @@ def test_padic_constructor_checks_p_and_M():
         PAdic(9, 2, 1)
     with pytest.raises(ValueError):
         PAdic(3, 0, 1)
+    for args in ((5, 2, 3.5), (5, 2, Fraction(1, 2)), (5, 2.0, 3), (5.0, 2, 3)):
+        with pytest.raises(TypeError):
+            PAdic(*args)
 
 
 def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
