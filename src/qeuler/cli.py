@@ -30,7 +30,6 @@ traceback.  Only checks the library does not make live here.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -153,6 +152,8 @@ def _usage_error(message: str) -> int:
 
 
 def _csv_text(header: list[str], rows) -> str:
+    import csv  # here, so that runs in the other formats never load it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)

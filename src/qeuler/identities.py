@@ -69,7 +69,6 @@ canonical forms differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
@@ -111,22 +110,60 @@ class SideConditionError(ValueError):
     """Parameters violate an identity's side condition (not a failure)."""
 
 
-@dataclass(frozen=True)
-class IntegrandExpr:
+#: Sets one field of a record; the records refuse plain assignment.
+_set = object.__setattr__
+
+
+class _Record:
+    """Equality, hashing, repr and immutability by field value, written once.
+
+    A record names its fields, in order, as its ``__slots__`` and sets
+    them in its own ``__init__`` through ``_set``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntegrandExpr(_Record):
     """Integrand q^qshift * q^(qsign*x) * poly(x) with qsign in {+1, -1}."""
 
-    qsign: int
-    qshift: int
-    poly: XPoly
+    __slots__ = ("qsign", "qshift", "poly")
 
-    def __post_init__(self):
-        for name in ("qsign", "qshift"):
-            if type(getattr(self, name)) is not int:
-                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.qsign not in (1, -1):
-            raise ValueError(f"qsign must be +1 or -1, got {self.qsign}")
-        if not isinstance(self.poly, XPoly):
+    def __init__(self, qsign: int, qshift: int, poly: XPoly) -> None:
+        for name, value in (("qsign", qsign), ("qshift", qshift)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if qsign not in (1, -1):
+            raise ValueError(f"qsign must be +1 or -1, got {qsign}")
+        if not isinstance(poly, XPoly):
             raise TypeError("poly must be an XPoly")
+        _set(self, "qsign", qsign)
+        _set(self, "qshift", qshift)
+        _set(self, "poly", poly)
 
 
 def moment_reduce(expr: IntegrandExpr) -> RatFunc:
@@ -148,8 +185,7 @@ def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFun
     return q**qshift * total if qshift else total
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(_Record):
     """Outcome of one identity check: both sides, their difference, equality.
 
     ``equal`` is True exactly when ``difference`` is zero.  For numeric
@@ -157,13 +193,17 @@ class VerificationResult:
     of the difference, capped at the working precision.
     """
 
-    identity: str
-    params: tuple[int, ...]
-    lhs: object
-    rhs: object
-    equal: bool
-    difference: object
-    valuation: int | None = None
+    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "difference", "valuation")
+
+    def __init__(self, identity: str, params: tuple[int, ...], lhs: object, rhs: object,
+                 equal: bool, difference: object, valuation: int | None = None) -> None:
+        _set(self, "identity", identity)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "equal", equal)
+        _set(self, "difference", difference)
+        _set(self, "valuation", valuation)
 
     def to_json(self) -> dict:
         out = {
@@ -184,8 +224,15 @@ Params = tuple[int, ...]
 Bounds = Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class Identity:
+def _always(params: Params) -> bool:
+    return True
+
+
+def _itself(params: Params) -> Hashable:
+    return params
+
+
+class Identity(_Record):
     """One verifiable identity: its parameter grid, side condition, both sides.
 
     ``bounds`` lists (bound name, CLI flag it answers to, default value)
@@ -210,15 +257,30 @@ class Identity:
     checks it against the cap of the shared cache before any case runs.
     """
 
-    tag: str
-    description: str
-    bounds: tuple[tuple[str, str, int], ...]
-    lhs: Callable[[Params], object]
-    rhs: Callable[[Params], object]
-    admissible: Callable[[Params], bool] = lambda params: True
-    rhs_k0: Callable[[Params], object] | None = None
-    max_index: Callable[[Bounds], int] | None = None
-    orbit: Callable[[Params], Hashable] = lambda params: params
+    __slots__ = ("tag", "description", "bounds", "lhs", "rhs", "admissible", "rhs_k0",
+                 "max_index", "orbit")
+
+    def __init__(
+        self,
+        tag: str,
+        description: str,
+        bounds: tuple[tuple[str, str, int], ...],
+        lhs: Callable[[Params], object],
+        rhs: Callable[[Params], object],
+        admissible: Callable[[Params], bool] = _always,
+        rhs_k0: Callable[[Params], object] | None = None,
+        max_index: Callable[[Bounds], int] | None = None,
+        orbit: Callable[[Params], Hashable] = _itself,
+    ) -> None:
+        _set(self, "tag", tag)
+        _set(self, "description", description)
+        _set(self, "bounds", bounds)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "admissible", admissible)
+        _set(self, "rhs_k0", rhs_k0)
+        _set(self, "max_index", max_index)
+        _set(self, "orbit", orbit)
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -691,18 +753,21 @@ def _difference(a: object, b: object) -> object:
     return _ZEROS[type(a)] if a == b else a - b
 
 
-@dataclass(frozen=True)
-class ExploratoryRecord:
+class ExploratoryRecord(_Record):
     """Both sides of an identity at a side-condition-violating tuple.
 
     Reported for inspection only; never asserted.
     """
 
-    identity: str
-    params: tuple[int, ...]
-    computed: bool
-    equal: bool | None
-    note: str = ""
+    __slots__ = ("identity", "params", "computed", "equal", "note")
+
+    def __init__(self, identity: str, params: tuple[int, ...], computed: bool,
+                 equal: bool | None, note: str = "") -> None:
+        _set(self, "identity", identity)
+        _set(self, "params", params)
+        _set(self, "computed", computed)
+        _set(self, "equal", equal)
+        _set(self, "note", note)
 
     def to_json(self) -> dict:
         return {
@@ -714,13 +779,15 @@ class ExploratoryRecord:
         }
 
 
-@dataclass(frozen=True)
-class BranchNote:
+class BranchNote(_Record):
     """Whether the k > 0 closed form reproduces the k = 0 value (informational)."""
 
-    identity: str
-    params: tuple[int, ...]
-    coincide: bool
+    __slots__ = ("identity", "params", "coincide")
+
+    def __init__(self, identity: str, params: tuple[int, ...], coincide: bool) -> None:
+        _set(self, "identity", identity)
+        _set(self, "params", params)
+        _set(self, "coincide", coincide)
 
     def to_json(self) -> dict:
         return {
@@ -730,24 +797,41 @@ class BranchNote:
         }
 
 
-@dataclass
-class SuiteReport:
-    """Aggregate of one run_suite invocation.
+class SuiteReport(_Record):
+    """Aggregate of one run_suite invocation; the one mutable record.
 
     ``cases`` counts admissible tuples actually verified (including
     cross-checks); ``skipped`` counts side-condition violations inside
     the requested bounds.  ``case_log`` records (tag, params, status)
-    in execution order, which is deterministic for fixed ranges.
+    in execution order, which is deterministic for fixed ranges.  Each
+    list left out starts empty and belongs to this report alone.
     """
 
-    cases: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    failures: list[VerificationResult] = field(default_factory=list)
-    case_log: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
-    exploratory: list[ExploratoryRecord] = field(default_factory=list)
-    branch_notes: list[BranchNote] = field(default_factory=list)
+    __slots__ = ("cases", "passed", "failed", "skipped", "failures", "case_log",
+                 "exploratory", "branch_notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        cases: int = 0,
+        passed: int = 0,
+        failed: int = 0,
+        skipped: int = 0,
+        failures: list[VerificationResult] | None = None,
+        case_log: list[tuple[str, tuple[int, ...], str]] | None = None,
+        exploratory: list[ExploratoryRecord] | None = None,
+        branch_notes: list[BranchNote] | None = None,
+    ) -> None:
+        self.cases = cases
+        self.passed = passed
+        self.failed = failed
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
+        self.case_log = [] if case_log is None else case_log
+        self.exploratory = [] if exploratory is None else exploratory
+        self.branch_notes = [] if branch_notes is None else branch_notes
 
     def record(self, result: VerificationResult) -> None:
         self.cases += 1

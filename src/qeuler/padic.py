@@ -45,12 +45,11 @@ every depth.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .euler import euler_poly_q
-from .identities import VerificationResult
+from .identities import VerificationResult, _Record, _set
 
 __all__ = [
     "NonUnitError",
@@ -117,6 +116,9 @@ def is_odd_prime(p: int) -> bool:
 
 
 def _check_parameters(p: int, M: int) -> None:
+    for name, value in (("p", p), ("M", M)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if M < 1:
@@ -131,20 +133,18 @@ def _check_base(q0: int, p: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PAdic:
+class PAdic(_Record):
     """A residue in Z/p^M, tagged with p and the precision exponent M."""
 
-    p: int
-    M: int
-    residue: int
+    __slots__ = ("p", "M", "residue")
 
-    def __post_init__(self):
-        for name in ("p", "M", "residue"):
-            if not isinstance(getattr(self, name), int):
-                raise TypeError(f"PAdic needs an int {name}: {getattr(self, name)!r}")
-        _check_parameters(self.p, self.M)
-        object.__setattr__(self, "residue", self.residue % self.p**self.M)
+    def __init__(self, p: int, M: int, residue: int) -> None:
+        if not isinstance(residue, int):
+            raise TypeError(f"PAdic needs an int residue: {residue!r}")
+        _check_parameters(p, M)
+        _set(self, "p", p)
+        _set(self, "M", M)
+        _set(self, "residue", residue % p**M)
 
     @classmethod
     def _checked(cls, p: int, M: int, residue: int) -> "PAdic":
@@ -154,9 +154,9 @@ class PAdic:
         by the public entry points only, not again for every residue.
         """
         value = object.__new__(cls)
-        object.__setattr__(value, "p", p)
-        object.__setattr__(value, "M", M)
-        object.__setattr__(value, "residue", residue % p**M)
+        _set(value, "p", p)
+        _set(value, "M", M)
+        _set(value, "residue", residue % p**M)
         return value
 
     def _compatible(self, other: "PAdic") -> None:
@@ -283,29 +283,34 @@ def fermionic_partial_sum(
     return PAdic._checked(p, M, last)
 
 
-@dataclass(frozen=True)
-class DepthEntry:
+class DepthEntry(_Record):
     """One depth of a convergence run: N, S_N, and v_p(S_N - target)."""
 
-    N: int
-    partial_sum: int
-    valuation: int
+    __slots__ = ("N", "partial_sum", "valuation")
+
+    def __init__(self, N: int, partial_sum: int, valuation: int) -> None:
+        _set(self, "N", N)
+        _set(self, "partial_sum", partial_sum)
+        _set(self, "valuation", valuation)
 
     def to_json(self) -> dict:
         return {"N": self.N, "S": str(self.partial_sum), "val": self.valuation}
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Record):
     """Valuation-by-depth record of one truncated-sum convergence run."""
 
-    p: int
-    M: int
-    q0: int
-    n: int
-    x0: int
-    target: int
-    entries: tuple[DepthEntry, ...]
+    __slots__ = ("p", "M", "q0", "n", "x0", "target", "entries")
+
+    def __init__(self, p: int, M: int, q0: int, n: int, x0: int, target: int,
+                 entries: tuple[DepthEntry, ...]) -> None:
+        _set(self, "p", p)
+        _set(self, "M", M)
+        _set(self, "q0", q0)
+        _set(self, "n", n)
+        _set(self, "x0", x0)
+        _set(self, "target", target)
+        _set(self, "entries", entries)
 
     @property
     def monotone(self) -> bool:

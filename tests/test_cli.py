@@ -1,6 +1,5 @@
 """End-to-end tests of the command line interface (in process)."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -149,7 +148,9 @@ def _raise_off_the_grid(exc_type, monkeypatch):
             raise exc_type("refused off the grid")
         return identity.lhs(params)
 
-    monkeypatch.setitem(REGISTRY, "eq2_symbolic", dataclasses.replace(identity, lhs=lhs))
+    rebuilt = Identity(*(lhs if name == "lhs" else getattr(identity, name)
+                         for name in Identity.__slots__))
+    monkeypatch.setitem(REGISTRY, "eq2_symbolic", rebuilt)
 
 
 def test_exploratory_fault_is_internal_error(monkeypatch, capsys):

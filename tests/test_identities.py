@@ -1,6 +1,5 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
-import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -16,9 +15,13 @@ from qeuler.euler import EulerCache, euler_number_q, euler_number_q_inverse
 from qeuler.exactalg import PolyQ, RatFunc, XPoly, _binomial_power, q, x
 from qeuler.identities import (
     REGISTRY,
+    BranchNote,
+    ExploratoryRecord,
+    Identity,
     IntegrandExpr,
     SideConditionError,
     SuiteReport,
+    VerificationResult,
     _basis_ints,
     default_ranges,
     moment_reduce,
@@ -28,6 +31,12 @@ from qeuler.identities import (
 )
 
 ONE_MINUS_X = XPoly((1, -1))
+
+
+def _replaced(identity, **changes):
+    """A copy of ``identity`` with the named fields changed."""
+    return Identity(*(changes.get(name, getattr(identity, name))
+                      for name in Identity.__slots__))
 
 
 # -- moment oracle -----------------------------------------------------
@@ -502,7 +511,7 @@ def test_suite_evaluates_each_case_once(monkeypatch, caps):
         def counted(params, tag=tag, lhs=identity.lhs):
             calls[tag, params] += 1
             return lhs(params)
-        monkeypatch.setitem(REGISTRY, tag, dataclasses.replace(identity, lhs=counted))
+        monkeypatch.setitem(REGISTRY, tag, _replaced(identity, lhs=counted))
     report = run_suite(default_ranges(**caps))
     assert report.failed == 0
     assert {tag for tag, _, _ in report.case_log if tag.startswith("xcheck")} == {
@@ -573,7 +582,7 @@ def _orbit_lhs_calls(monkeypatch, tag, bounds):
         return side(params)
 
     monkeypatch.setattr(SuiteReport, "record", keep)
-    monkeypatch.setitem(REGISTRY, tag, dataclasses.replace(identity, lhs=counted))
+    monkeypatch.setitem(REGISTRY, tag, _replaced(identity, lhs=counted))
     report = run_suite({tag: bounds})
     assert report.failed == 0
     return calls, recorded
@@ -603,8 +612,8 @@ def test_cor9_tuples_with_one_sum_share_one_lhs_call(monkeypatch):
 def test_orbit_shared_failure_keeps_each_tuples_params(monkeypatch):
     # a wrong closed form that is still symmetric, so orbits stay orbits
     identity = REGISTRY["thm6"]
-    wrong = dataclasses.replace(identity, rhs=lambda p, f=identity.rhs: f(p) + 1,
-                                rhs_k0=lambda p, f=identity.rhs_k0: f(p) + 1)
+    wrong = _replaced(identity, rhs=lambda p, f=identity.rhs: f(p) + 1,
+                      rhs_k0=lambda p, f=identity.rhs_k0: f(p) + 1)
     monkeypatch.setitem(REGISTRY, "thm6", wrong)
     bounds = {"n": 3, "m": 3, "k": 2}
     grid = [p for p in sorted(wrong.enumerate_params(bounds)) if wrong.admissible(p)]
@@ -683,3 +692,97 @@ def test_suite_refuses_an_index_above_the_cap_before_any_case(monkeypatch):
             run_suite(ranges)
         assert len(cache._numbers) == 1
     run_suite({"eq2_symbolic": {"m": 5, "nshift": 9}, "eq15_symmetry": {"n": 9, "k": 9}})
+
+
+# -- the records --------------------------------------------------------
+
+
+def _side(params):
+    return RatFunc(0)
+
+
+def test_records_build_by_position_and_keyword_with_defaults():
+    zero = RatFunc(0)
+    result = VerificationResult("t", (1,), q, q, True, zero)
+    assert result.valuation is None
+    assert result == VerificationResult(identity="t", params=(1,), lhs=q, rhs=q,
+                                        equal=True, difference=zero, valuation=None)
+    assert VerificationResult("t", (1,), q, q, True, zero, 3).valuation == 3
+    record = ExploratoryRecord("t", (0,), False, None)
+    assert record.note == ""
+    assert record == ExploratoryRecord(identity="t", params=(0,), computed=False,
+                                       equal=None, note="")
+    assert BranchNote("t", (0,), True) == BranchNote(identity="t", params=(0,),
+                                                     coincide=True)
+    integrand = IntegrandExpr(qsign=-1, qshift=1, poly=ONE_MINUS_X)
+    assert (integrand.qsign, integrand.qshift, integrand.poly) == (-1, 1, ONE_MINUS_X)
+    assert integrand == IntegrandExpr(-1, 1, ONE_MINUS_X)
+
+
+def test_identity_defaults_and_field_order():
+    bounds = (("n", "n", 2),)
+    bare = Identity("t", "d", bounds, _side, _side)
+    assert bare.admissible((5,)) is True
+    assert bare.rhs_k0 is None and bare.max_index is None
+    assert bare.orbit((1, 2)) == (1, 2)
+    assert bare == Identity(tag="t", description="d", bounds=bounds, lhs=_side, rhs=_side)
+    fields = ("t", "d", bounds, _side, abs, callable, len, max, sorted)
+    full = Identity(*fields)
+    assert (full.tag, full.description, full.bounds, full.lhs, full.rhs, full.admissible,
+            full.rhs_k0, full.max_index, full.orbit) == fields
+
+
+def test_frozen_records_refuse_assignment():
+    records = [
+        IntegrandExpr(1, 0, ONE_MINUS_X),
+        VerificationResult("t", (1,), q, q, True, RatFunc(0)),
+        REGISTRY["thm4"],
+        ExploratoryRecord("t", (0,), False, None),
+        BranchNote("t", (0,), True),
+    ]
+    for record in records:
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.unknown_field = None
+
+
+def test_equal_fields_give_equal_records_and_hashes():
+    pairs = [
+        (IntegrandExpr(-1, 2, x**2), IntegrandExpr(-1, 2, x**2), IntegrandExpr(1, 2, x**2)),
+        (verify_identity("thm4", (3, 1)), verify_identity("thm4", (3, 1)),
+         verify_identity("thm4", (3, 2))),
+        (ExploratoryRecord("t", (0,), False, None, "why"),
+         ExploratoryRecord("t", (0,), False, None, "why"),
+         ExploratoryRecord("t", (0,), False, None)),
+        (BranchNote("t", (2, 0), False), BranchNote("t", (2, 0), False),
+         BranchNote("t", (2, 0), True)),
+        (_replaced(REGISTRY["thm6"]), REGISTRY["thm6"], _replaced(REGISTRY["thm6"], lhs=_side)),
+    ]
+    for a, b, other in pairs:
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+    assert repr(BranchNote("t", (2, 0), False)) == (
+        "BranchNote(identity='t', params=(2, 0), coincide=False)")
+
+
+def test_suite_reports_never_share_their_lists():
+    names = ("failures", "case_log", "exploratory", "branch_notes")
+    first, second = SuiteReport(), SuiteReport()
+    assert first == second
+    for name in names:
+        getattr(first, name).append(None)
+        assert getattr(second, name) == []
+    assert first != second
+    first.cases = 2  # the one mutable record
+    assert (first.cases, second.cases) == (2, 0)
+    with pytest.raises(TypeError):
+        hash(first)
+    given_lists = [[], [], [], []]
+    report = SuiteReport(1, 1, 0, 0, *given_lists)
+    assert all(getattr(report, name) is given for name, given in zip(names, given_lists))
+    assert report == SuiteReport(cases=1, passed=1)

@@ -1,5 +1,6 @@
 """Tests for residue arithmetic and the truncated fermionic sums."""
 
+import pickle
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from qeuler.padic import (
     _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
+    ConvergenceReport,
+    DepthEntry,
     NonUnitError,
     PAdic,
     calibrate_truncation_slack,
@@ -95,6 +98,20 @@ def test_padic_constructor_checks_p_and_M():
     for args in ((5, 2, 3.5), (5, 2, Fraction(1, 2)), (5, 2.0, 3), (5.0, 2, 3)):
         with pytest.raises(TypeError):
             PAdic(*args)
+
+
+@pytest.mark.parametrize("p, M", [(3, True), (True, 3), (3, 2.0), (3.0, 2), ("3", 2)])
+def test_every_entry_point_refuses_a_non_int_p_or_M(p, M):
+    entry_points = [
+        lambda: PAdic(p, M, 5),
+        lambda: padic_from_rational(Fraction(1, 2), p, M),
+        lambda: fermionic_partial_sum(1, 0, 4, p, 2, M),
+        lambda: witt_convergence_check(1, 0, p, 4, M, 2),
+        lambda: shift_identity_check_numeric(1, 1, 4, p, 2, M),
+    ]
+    for call in entry_points:
+        with pytest.raises(TypeError, match="must be an int"):
+            call()
 
 
 def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
@@ -337,3 +354,34 @@ def test_partial_sums_converge_to_scalar_target(p, t, x0, n, M):
     for entry in report.entries:
         assert entry.valuation == p_valuation(entry.partial_sum - target, p, M)
         assert entry.valuation >= min(entry.N, M)
+
+
+def test_records_build_by_position_and_keyword():
+    assert PAdic(5, 2, 28) == PAdic(p=5, M=2, residue=3)
+    assert DepthEntry(2, 7, 1) == DepthEntry(N=2, partial_sum=7, valuation=1)
+    report = witt_convergence_check(n=1, x0=0, p=3, q0=4, M=3, N_max=2)
+    fields = (3, 3, 4, 1, 0, report.target, report.entries)
+    assert report == ConvergenceReport(*fields)
+    assert report == ConvergenceReport(p=3, M=3, q0=4, n=1, x0=0, target=report.target,
+                                       entries=report.entries)
+    assert (report.p, report.M, report.q0, report.n, report.x0, report.target,
+            report.entries) == fields
+
+
+def test_records_are_frozen_and_hash_by_value():
+    records = [PAdic(5, 2, 3), DepthEntry(2, 7, 1),
+               witt_convergence_check(n=1, x0=0, p=3, q0=4, M=3, N_max=2)]
+    twins = [PAdic(5, 2, 3), DepthEntry(2, 7, 1),
+             witt_convergence_check(n=1, x0=0, p=3, q0=4, M=3, N_max=2)]
+    others = [PAdic(5, 3, 3), DepthEntry(2, 7, 2),
+              witt_convergence_check(n=1, x0=0, p=3, q0=4, M=3, N_max=3)]
+    for record, twin, other in zip(records, twins, others):
+        assert record == twin and hash(record) == hash(twin)
+        assert record != other
+        assert pickle.loads(pickle.dumps(record)) == record
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(PAdic(5, 2, 3)) == "PAdic(p=5, M=2, residue=3)"

@@ -1,5 +1,9 @@
 """The package's public surface: each module's ``__all__``, re-exported once."""
 
+import os
+import subprocess
+import sys
+
 import qeuler
 from qeuler import bernstein, euler, exactalg, identities, padic
 
@@ -37,3 +41,15 @@ def test_every_name_is_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(qeuler, name) is getattr(module, name), name
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # -S keeps site-packages' own imports out of the count; qeuler needs none.
+    # dataclasses pulls in inspect, ast, dis and tokenize; csv is for
+    # --format csv alone.
+    code = ("import sys, qeuler, qeuler.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qeuler.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == []
