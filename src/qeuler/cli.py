@@ -38,7 +38,7 @@ import sys
 from .euler import _check_cap, _table_values, table_rows
 from .exactalg import _fraction_latex
 from .identities import REGISTRY, default_ranges, run_suite
-from .padic import CALIBRATED_SLACK, witt_convergence_check
+from .padic import CALIBRATED_SLACK, _convergence_reports
 
 FORMATS = ("json", "csv", "latex")
 
@@ -256,24 +256,24 @@ def cmd_padic(args: argparse.Namespace) -> int:
     _check_cap(args.n_max)
     x0s = args.x0s if args.x0s else [0, 1, 2]
 
-    reports = []
+    # one recursion per x0 serves every degree; reports go in (n, x0) order
+    columns = [_convergence_reports(range(args.n_max + 1), x0, p, q0,
+                                    precision, depth) for x0 in x0s]
+    reports = [report for row in zip(*columns) for report in row]
     failures = []
-    for n in range(args.n_max + 1):
-        for x0 in x0s:
-            report = witt_convergence_check(n=n, x0=x0, p=p, q0=q0,
-                                            M=precision, N_max=depth)
-            reports.append(report)
-            for entry in report.entries:
-                floor = min(entry.N - CALIBRATED_SLACK, precision)
-                if entry.valuation < floor:
-                    failures.append(
-                        f"n={n} x0={x0}: valuation {entry.valuation} at"
-                        f" depth {entry.N} is below the floor {floor}")
-            reached = report.reached_at()
-            if reached is None or reached > threshold:
+    for report in reports:
+        n, x0 = report.n, report.x0
+        for entry in report.entries:
+            floor = min(entry.N - CALIBRATED_SLACK, precision)
+            if entry.valuation < floor:
                 failures.append(
-                    f"n={n} x0={x0}: valuation did not reach {precision}"
-                    f" by depth {threshold}")
+                    f"n={n} x0={x0}: valuation {entry.valuation} at"
+                    f" depth {entry.N} is below the floor {floor}")
+        reached = report.reached_at()
+        if reached is None or reached > threshold:
+            failures.append(
+                f"n={n} x0={x0}: valuation did not reach {precision}"
+                f" by depth {threshold}")
 
     if args.format == "json":
         payload = {

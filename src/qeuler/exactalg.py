@@ -195,6 +195,9 @@ class PolyQ(_Exact):
         den = self._den
         return tuple(Fraction(c, den) for c in self._ints)
 
+    def __reduce__(self):
+        return PolyQ, (self.coeffs,)
+
     @classmethod
     def monomial(cls, degree: int) -> "PolyQ":
         if degree < 0:
@@ -663,6 +666,9 @@ class RatFunc(_Exact):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_form", _denominator_form(den))
 
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -823,6 +829,9 @@ class XPoly(_Exact):
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __reduce__(self):
+        return XPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:

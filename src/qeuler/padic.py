@@ -31,7 +31,11 @@ j -> j + 1 in A_i = sum_{j < p} g^j j^i gives
 and 1 - g is a unit because g = -1 mod p.  p^N and g are carried as
 residues mod p^M (g advances by g <- g^p), so one depth costs O(n^2)
 residue operations plus one g^p, whatever p is, instead of p^N terms;
-S_N = T_n(N).
+S_N = T_n(N).  T_k(N) is S_N at degree k, so one recursion per x0 gives
+S_N for every degree up to ``qeuler padic --n-max``, at O(n_max^2)
+residue operations plus one g^p per depth and x0.  Each target
+E_n(x0, q0) is found in Q: the coefficients of ``euler_poly_q(n)`` at
+q0, once per (n, q0), then Horner's rule at x0.
 
 The valuation floor v_N >= N - CALIBRATED_SLACK was measured by
 ``calibrate_truncation_slack`` over p in {3, 5, 7}, q0 = 1 + p,
@@ -44,8 +48,9 @@ every depth.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .euler import euler_poly_q
@@ -115,10 +120,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def _check_parameters(p: int, M: int) -> None:
-    for name, value in (("p", p), ("M", M)):
-        if type(value) is not int:
+def _check_ints(**values: int) -> None:
+    for name, value in values.items():
+        if type(value) is not int:  # a bool is refused too
             raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_parameters(p: int, M: int) -> None:
+    _check_ints(p=p, M=M)
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if M < 1:
@@ -217,20 +226,28 @@ def padic_from_rational(r: Fraction, p: int, M: int) -> PAdic:
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"padic_from_rational needs an int or Fraction: {r!r}")
     _check_parameters(p, M)
+    return PAdic._checked(p, M, _residue(r, p, M))
+
+
+def _residue(r: Fraction, p: int, M: int) -> int:
     if r.denominator % p == 0:
         raise NonUnitError(
             f"denominator {r.denominator} is divisible by p={p}; "
             "the rational has no residue mod p^M"
         )
     pm = p**M
-    inv = pow(r.denominator, -1, pm)
-    return PAdic._checked(p, M, r.numerator * inv)
+    return r.numerator * pow(r.denominator, -1, pm) % pm
 
 
-def _check_sum(n: int, x0: int, q0: int, p: int, depth: int, M: int) -> None:
+def _check_sum(
+    degrees: Sequence[int], x0: int, q0: int, p: int, depth: int, M: int
+) -> None:
+    for n in degrees:
+        _check_ints(n=n)
+    _check_ints(x0=x0, q0=q0, depth=depth)
     _check_parameters(p, M)
     _check_base(q0, p)
-    if n < 0:
+    if min(degrees) < 0:
         raise ValueError("n must be nonnegative")
     if x0 < 0:
         raise ValueError("x0 must be nonnegative")
@@ -240,11 +257,11 @@ def _check_sum(n: int, x0: int, q0: int, p: int, depth: int, M: int) -> None:
 
 def _partial_sums(
     n: int, x0: int, q0: int, p: int, N_max: int, M: int
-) -> Iterator[int]:
-    """Yield the residues S_1 .. S_{N_max} mod p^M by the block recursion.
+) -> Iterator[list[int]]:
+    """Yield the moments T_0 .. T_n mod p^M at depths N = 1 .. N_max.
 
-    See the module docstring for the recursion; arguments are checked by
-    the callers.
+    Entry k of the list at depth N is S_N for degree k.  See the module
+    docstring for the recursion; arguments are checked by the callers.
     """
     pm = p**M
     binomials = [[comb(a, k) % pm for k in range(a + 1)] for a in range(n + 1)]
@@ -265,7 +282,7 @@ def _partial_sums(
             sum(c * G[a - k] * moments[k] for k, c in enumerate(row)) % pm
             for a, row in enumerate(binomials)
         ]
-        yield moments[n]
+        yield moments
         block = block * p % pm
         g = g_next
 
@@ -278,9 +295,9 @@ def fermionic_partial_sum(
     Requires n >= 0, x0 >= 0, N >= 1, odd prime p, M >= 1, and
     p | (q0 - 1).  Costs O(N n^2) residue operations.
     """
-    _check_sum(n, x0, q0, p, N, M)
+    _check_sum((n,), x0, q0, p, N, M)
     *_, last = _partial_sums(n, x0, q0, p, N, M)
-    return PAdic._checked(p, M, last)
+    return PAdic._checked(p, M, last[n])
 
 
 class DepthEntry(_Record):
@@ -356,16 +373,44 @@ def witt_convergence_check(
     embedded mod p^M; one run of the block recursion yields S_N for
     every depth N = 1 .. N_max.
     """
-    _check_sum(n, x0, q0, p, N_max, M)
-    exact = euler_poly_q(n)(Fraction(x0))(Fraction(q0))
-    target = padic_from_rational(exact, p, M)
-    entries = tuple(
-        DepthEntry(
-            N, partial, (PAdic._checked(p, M, partial) - target).valuation()
-        )
-        for N, partial in enumerate(_partial_sums(n, x0, q0, p, N_max, M), 1)
-    )
-    return ConvergenceReport(p, M, q0, n, x0, target.residue, entries)
+    (report,) = _convergence_reports((n,), x0, p, q0, M, N_max)
+    return report
+
+
+@lru_cache(maxsize=256)  # every degree up to the q-Euler cap, for two q0
+def _coefficients_at(n: int, q0: int) -> tuple[Fraction, ...]:
+    """The x-coefficients of E_n(x, q) at q = q0, shared by every x0."""
+    return tuple(c(q0) for c in euler_poly_q(n).coeffs)
+
+
+def _exact_target(n: int, x0: int, q0: int) -> Fraction:
+    """E_n(x0, q0) in Q: ``euler_poly_q(n)`` at q0, then at x0 by Horner."""
+    value = Fraction(0)
+    for c in reversed(_coefficients_at(n, q0)):
+        value = value * x0 + c
+    return value
+
+
+def _convergence_reports(
+    degrees: Sequence[int], x0: int, p: int, q0: int, M: int, N_max: int
+) -> list[ConvergenceReport]:
+    """``witt_convergence_check`` at x0 for each n in degrees, in order.
+
+    One run of the recursion up to the largest degree gives S_N for all
+    of them, and the parameters are checked once.
+    """
+    _check_sum(degrees, x0, q0, p, N_max, M)
+    targets = [_residue(_exact_target(n, x0, q0), p, M) for n in degrees]
+    rows = [[] for _ in degrees]
+    sums = _partial_sums(max(degrees), x0, q0, p, N_max, M)
+    for N, moments in enumerate(sums, 1):
+        for row, n, target in zip(rows, degrees, targets):
+            error = PAdic._checked(p, M, moments[n] - target)
+            row.append(DepthEntry(N, moments[n], error.valuation()))
+    return [
+        ConvergenceReport(p, M, q0, n, x0, target, tuple(row))
+        for n, target, row in zip(degrees, targets, rows)
+    ]
 
 
 def shift_identity_check_numeric(
@@ -380,12 +425,14 @@ def shift_identity_check_numeric(
     and the two sides agree only up to truncation error, so callers
     should read the valuation, not demand exact equality.
     """
+    _check_ints(nshift=nshift)
     if nshift < 1:
         raise ValueError("nshift must be at least 1")
-    _check_sum(m, nshift, q0, p, N, M)
+    _check_sum((m,), nshift, q0, p, N, M)
     pm = p**M
     *_, shifted = _partial_sums(m, nshift, q0, p, N, M)
     *_, plain = _partial_sums(m, 0, q0, p, N, M)
+    shifted, plain = shifted[m], plain[m]
     boundary = 0
     for l in range(nshift):
         term = pow(q0 % pm, l, pm) * pow(l, m, pm) % pm

@@ -267,20 +267,46 @@ def test_padic_p_above_the_primality_bound_exits_2(capsys):
 
 
 def test_padic_fails_below_the_floor(capsys, monkeypatch):
-    def low_at_depth_two(**kwargs):
-        report = padic.witt_convergence_check(**kwargs)
-        entries = list(report.entries)
-        entries[1] = padic.DepthEntry(2, entries[1].partial_sum, 1)
-        return padic.ConvergenceReport(
-            report.p, report.M, report.q0, report.n, report.x0,
-            report.target, tuple(entries))
+    def low_at_depth_two(*args, **kwargs):
+        reports = []
+        for report in padic._convergence_reports(*args, **kwargs):
+            entries = list(report.entries)
+            entries[1] = padic.DepthEntry(2, entries[1].partial_sum, 1)
+            reports.append(padic.ConvergenceReport(
+                report.p, report.M, report.q0, report.n, report.x0,
+                report.target, tuple(entries)))
+        return reports
 
-    monkeypatch.setattr(cli, "witt_convergence_check", low_at_depth_two)
+    monkeypatch.setattr(cli, "_convergence_reports", low_at_depth_two)
     code, out, _ = run(capsys, ["padic", "--p", "3", "--precision", "3",
                                 "--depth", "4", "--n-max", "0", "--x0", "0"])
     assert code == 1
     assert json.loads(out)["failures"] == [
         "n=0 x0=0: valuation 1 at depth 2 is below the floor 2"]
+
+
+def test_padic_runs_one_recursion_per_x0(capsys, monkeypatch):
+    recursions, primality = [], []
+    original_sums, original_prime = padic._partial_sums, padic.is_odd_prime
+
+    def counting_sums(n, x0, *rest):
+        recursions.append((n, x0))
+        return original_sums(n, x0, *rest)
+
+    def counting_prime(p):
+        primality.append(p)
+        return original_prime(p)
+
+    monkeypatch.setattr(padic, "_partial_sums", counting_sums)
+    monkeypatch.setattr(padic, "is_odd_prime", counting_prime)
+    code, out, _ = run(capsys, ["padic", "--p", "5", "--precision", "8",
+                                "--depth", "8", "--n-max", "6"])
+    assert code == 0
+    assert recursions == [(6, 0), (6, 1), (6, 2)]
+    assert primality == [5, 5, 5]
+    reports = json.loads(out)["reports"]
+    assert [(r["n"], r["x0"]) for r in reports] == [
+        (n, x0) for n in range(7) for x0 in (0, 1, 2)]
 
 
 # -- output redirection and usage errors ---------------------------------
@@ -432,7 +458,8 @@ def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
 
 def test_padic_refuses_index_above_cap_before_any_report(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "witt_convergence_check", lambda **kw: calls.append(kw))
+    monkeypatch.setattr(cli, "_convergence_reports",
+                        lambda *args, **kw: calls.append((args, kw)))
     code, out, err = run(capsys, ["padic", "--n-max", "129"])
     assert code == 2
     assert out == ""

@@ -1,5 +1,7 @@
 """Exact arithmetic layer: canonical forms, field laws, serialization."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -477,3 +479,19 @@ def test_binomial_power_cache_is_typed():
     assert rows[0] == rows[1] == (1, -3, 3, -1)
     assert [type(c) for c in rows[0]] == [RatFunc] * 4
     assert [type(c) for c in rows[1]] == [int] * 4
+
+
+@pytest.mark.parametrize("value", [
+    PolyQ(), PolyQ((Fraction(1, 2), 0, -3)), RatFunc(0), RatFunc(7), q,
+    (q * q + 1) / (q - 3), 2 / (1 + q) ** 3, (q + 2) / (q * q + 3),
+    XPoly(), x, (x * q + 1 / (1 + q)) ** 2,
+])
+def test_values_pickle_and_copy_through_their_constructors(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert str(twin) == str(value)
+    if isinstance(value, RatFunc):
+        assert pickle.loads(pickle.dumps(value))._form == value._form

@@ -1,6 +1,8 @@
 """Tests for the identity registry, the moment oracle, and run_suite."""
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -699,6 +701,15 @@ def test_suite_refuses_an_index_above_the_cap_before_any_case(monkeypatch):
 
 def _side(params):
     return RatFunc(0)
+
+
+def test_verification_results_with_q_sides_round_trip():
+    for tag, params in (("thm4", (2, 1)), ("thm1_reflection", (2,))):
+        result = verify_identity(tag, params)
+        for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert twin == result
+            assert hash(twin) == hash(result)
+            assert twin.to_json() == result.to_json()
 
 
 def test_records_build_by_position_and_keyword_with_defaults():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuler.euler import euler_poly_q
 from qeuler.padic import (
     _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
@@ -21,6 +22,9 @@ from qeuler.padic import (
     padic_from_rational,
     shift_identity_check_numeric,
     witt_convergence_check,
+    _coefficients_at,
+    _convergence_reports,
+    _exact_target,
 )
 
 
@@ -112,6 +116,27 @@ def test_every_entry_point_refuses_a_non_int_p_or_M(p, M):
     for call in entry_points:
         with pytest.raises(TypeError, match="must be an int"):
             call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"])
+def test_every_entry_point_refuses_a_non_int_degree_point_base_or_depth(bad):
+    good = {"n": 1, "x0": 1, "q0": 4, "depth": 2}
+    for name in good:
+        a = {**good, name: bad}
+        entry_points = [
+            lambda: fermionic_partial_sum(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
+            lambda: witt_convergence_check(a["n"], a["x0"], 3, a["q0"], 2, a["depth"]),
+            lambda: _convergence_reports((0, a["n"]), a["x0"], 3, a["q0"], 2, a["depth"]),
+            # x0 is nshift here
+            lambda: shift_identity_check_numeric(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
+        ]
+        for call in entry_points:
+            with pytest.raises(TypeError, match="must be an int"):
+                call()
+    with pytest.raises(TypeError, match="n must be an int, got True"):
+        witt_convergence_check(True, False, 3, 4, 3, True)
+    with pytest.raises(TypeError, match="nshift must be an int"):
+        shift_identity_check_numeric(1, bad, 4, 3, 2, 2)
 
 
 def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
@@ -290,6 +315,47 @@ def test_partial_sums_match_direct_loop():
                         report = witt_convergence_check(n, x0, p, q0, M, depth)
                         assert [e.partial_sum for e in report.entries] \
                             == expected, (p, q0, n, x0, M)
+
+
+def test_convergence_reports_match_per_degree_checks_and_direct_loop():
+    depth = 3
+    degrees = range(8)
+    for p in ORACLE_PRIMES:
+        for q0 in oracle_bases(p):
+            for x0 in ORACLE_X0:
+                widest = [direct_sums(n, x0, q0, p, depth, WIDEST) for n in degrees]
+                for M in ORACLE_PRECISIONS:
+                    reports = _convergence_reports(degrees, x0, p, q0, M, depth)
+                    assert [r.n for r in reports] == list(degrees)
+                    for n, report in zip(degrees, reports):
+                        where = (p, q0, n, x0, M)
+                        assert report == witt_convergence_check(
+                            n, x0, p, q0, M, depth), where
+                        assert [e.partial_sum for e in report.entries] \
+                            == [s % p**M for s in widest[n]], where
+                    # any subset, in any order, reads the same reports
+                    assert _convergence_reports((6, 0, 3), x0, p, q0, M, depth) \
+                        == [reports[6], reports[0], reports[3]]
+
+
+def test_exact_target_is_the_symbolic_polynomial_at_the_point():
+    for p, q0 in ((3, 4), (5, -4), (7, 1 + 7 * 7)):
+        for n in range(17):
+            for x0 in (0, 1, 2, 5):
+                symbolic = euler_poly_q(n)(Fraction(x0))(Fraction(q0))
+                assert _exact_target(n, x0, q0) == symbolic, (p, q0, n, x0)
+                report = witt_convergence_check(n, x0, p, q0, 12, 1)
+                assert report.target == padic_from_rational(symbolic, p, 12).residue
+
+
+def test_a_single_degree_check_evaluates_one_target():
+    _coefficients_at.cache_clear()
+    witt_convergence_check(9, 2, 5, 6, 4, 2)
+    assert _coefficients_at.cache_info().currsize == 1
+    _convergence_reports(range(4), 1, 5, 6, 4, 2)
+    _convergence_reports(range(4), 2, 5, 6, 4, 2)
+    info = _coefficients_at.cache_info()
+    assert (info.currsize, info.hits) == (5, 4)  # once per (n, q0), not per x0
 
 
 def test_shift_identity_numeric_matches_direct_loop():
