@@ -16,8 +16,9 @@ Three subcommands:
     polynomial value and report how fast the p-adic valuation of the
     error grows with the truncation depth.  A run fails when some depth
     N falls below the floor min(N - slack, M), or when M is not reached
-    by depth M + slack; a valuation that dips while staying above the
-    floor is reported (the LaTeX ``mono`` column) but does not fail.
+    by depth M + slack, where slack is 0 (``qeuler.padic`` proves the
+    floor); a valuation that dips while staying above the floor is
+    reported (the LaTeX ``mono`` column) but does not fail.
 
 Exit codes: 0 success, 1 an identity or convergence check failed,
 2 usage error, 3 output could not be written (to the ``--out`` file or
@@ -254,12 +255,11 @@ def cmd_padic(args: argparse.Namespace) -> int:
             f"--depth {depth} is too small to decide convergence to"
             f" precision {precision}; need at least {threshold}")
     _check_cap(args.n_max)
-    x0s = args.x0s if args.x0s else [0, 1, 2]
+    x0s = args.x0s or (0, 1, 2)
 
-    # one recursion per x0 serves every degree; reports go in (n, x0) order
-    columns = [_convergence_reports(range(args.n_max + 1), x0, p, q0,
-                                    precision, depth) for x0 in x0s]
-    reports = [report for row in zip(*columns) for report in row]
+    # one recursion serves every (n, x0); reports come in (n, x0) order
+    reports = _convergence_reports(range(args.n_max + 1), x0s, p, q0,
+                                   precision, depth)
     failures = []
     for report in reports:
         n, x0 = report.n, report.x0

@@ -31,23 +31,26 @@ j -> j + 1 in A_i = sum_{j < p} g^j j^i gives
 and 1 - g is a unit because g = -1 mod p.  p^N and g are carried as
 residues mod p^M (g advances by g <- g^p), so one depth costs O(n^2)
 residue operations plus one g^p, whatever p is, instead of p^N terms;
-S_N = T_n(N).  T_k(N) is S_N at degree k, so one recursion per x0 gives
-S_N for every degree up to ``qeuler padic --n-max``, at O(n_max^2)
-residue operations plus one g^p per depth and x0.  Each target
-E_n(x0, q0) is found in Q: the coefficients of ``euler_poly_q(n)`` at
-q0, once per (n, q0), then Horner's rule at x0.
+S_N = T_n(N).  Only the moment step depends on x0, and T_k(N) is S_N
+at degree k, so one recursion per ``qeuler padic`` command serves every
+``--x0`` and every degree up to ``--n-max``: per depth, one block row
+G_0 .. G_n and one g^p, then O(n_max^2) residue operations per x0.
+Each target E_n(x0, q0) is found in Q: the coefficients of
+``euler_poly_q(n)`` at q0, once per (n, q0), then Horner's rule at x0.
 
-The valuation floor v_N >= N - CALIBRATED_SLACK was measured by
-``calibrate_truncation_slack`` over p in {3, 5, 7}, q0 = 1 + p,
-n <= 4, x0 in {0, 1, 2}, N <= 6 at M = 10, and the constant is frozen
-here; the test suite re-derives it.  Monotonicity is not expected: S_1
-can agree with the target to more digits than S_2 does, so a valuation
-sequence may dip while it meets v_N >= min(N - CALIBRATED_SLACK, M) at
-every depth.
+The step proves the truncation floor.  q0 = 1 mod p gives
+g = (-q0)^(p^N) = -1 mod p^(N+1), so G_0 - 1 = g (1 - g^(p-1)) / (1 - g)
+= 0 mod p^(N+1), while G_i = p^(N i) A_i = 0 mod p^N for i >= 1.  Hence
+T(N+1) = T(N) mod p^N: every later S_N', and so the limit E_n(x0, q0),
+agrees with S_N mod p^N, and v_N >= min(N, M) at every depth.
+Monotonicity is not expected: S_1 can agree with the target to more
+digits than S_2 does, so a valuation sequence may dip while it meets
+the floor at every depth.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -66,14 +69,12 @@ __all__ = [
     "ConvergenceReport",
     "witt_convergence_check",
     "shift_identity_check_numeric",
-    "calibrate_truncation_slack",
     "CALIBRATED_SLACK",
 ]
 
-#: Worst observed value of N - v_p(S_N - target) on the calibration grid.
-#: The grid never misses the theoretical floor v_N >= N (difference of
-#: consecutive partial sums carries at least N factors of p), so the
-#: slack is zero: precision M is reached by depth N = M.
+#: Slack in the truncation floor v_N >= min(N - CALIBRATED_SLACK, M), as
+#: the CLI prints it.  The module docstring proves the floor min(N, M),
+#: so the slack is zero: precision M is reached by depth N = M.
 CALIBRATED_SLACK = 0
 
 
@@ -239,34 +240,37 @@ def _residue(r: Fraction, p: int, M: int) -> int:
     return r.numerator * pow(r.denominator, -1, pm) % pm
 
 
-def _check_sum(
-    degrees: Sequence[int], x0: int, q0: int, p: int, depth: int, M: int
-) -> None:
+def _check_sum(degrees: Sequence[int], x0s: Sequence[int], q0: int, p: int,
+               depth: int, M: int) -> None:
     for n in degrees:
         _check_ints(n=n)
-    _check_ints(x0=x0, q0=q0, depth=depth)
+    for x0 in x0s:
+        _check_ints(x0=x0)
+    _check_ints(q0=q0, depth=depth)
     _check_parameters(p, M)
     _check_base(q0, p)
     if min(degrees) < 0:
         raise ValueError("n must be nonnegative")
-    if x0 < 0:
+    if min(x0s) < 0:
         raise ValueError("x0 must be nonnegative")
     if depth < 1:
         raise ValueError("depth must be at least 1")
 
 
 def _partial_sums(
-    n: int, x0: int, q0: int, p: int, N_max: int, M: int
-) -> Iterator[list[int]]:
-    """Yield the moments T_0 .. T_n mod p^M at depths N = 1 .. N_max.
+    n: int, x0s: Sequence[int], q0: int, p: int, N_max: int, M: int
+) -> Iterator[list[list[int]]]:
+    """Yield the moments T_0 .. T_n mod p^M of each x0 at depths 1 .. N_max.
 
-    Entry k of the list at depth N is S_N for degree k.  See the module
-    docstring for the recursion; arguments are checked by the callers.
+    At depth N, entry k of the vector of x0s[j] is S_N for degree k at
+    that x0.  Each depth computes one block row and advances every x0's
+    vector with it.  See the module docstring for the recursion;
+    arguments are checked by the callers.
     """
     pm = p**M
     binomials = [[comb(a, k) % pm for k in range(a + 1)] for a in range(n + 1)]
     p_powers = [pow(p, i, pm) for i in range(n + 1)]
-    moments = [pow(x0, k, pm) for k in range(n + 1)]
+    vectors = [[pow(x0, k, pm) for k in range(n + 1)] for x0 in x0s]
     block = 1  # p^N mod p^M
     g = -q0 % pm  # (-q0)^(p^N) mod p^M
     for _ in range(N_max):
@@ -278,11 +282,12 @@ def _partial_sums(
             acc += g * sum(c * a for c, a in zip(row, A))
             A.append(acc * unit % pm)
         G = [a * pow(block, i, pm) % pm for i, a in enumerate(A)]
-        moments = [
-            sum(c * G[a - k] * moments[k] for k, c in enumerate(row)) % pm
-            for a, row in enumerate(binomials)
+        vectors = [
+            [sum(c * G[a - k] * moments[k] for k, c in enumerate(row)) % pm
+             for a, row in enumerate(binomials)]
+            for moments in vectors
         ]
-        yield moments
+        yield vectors
         block = block * p % pm
         g = g_next
 
@@ -295,9 +300,9 @@ def fermionic_partial_sum(
     Requires n >= 0, x0 >= 0, N >= 1, odd prime p, M >= 1, and
     p | (q0 - 1).  Costs O(N n^2) residue operations.
     """
-    _check_sum((n,), x0, q0, p, N, M)
-    *_, last = _partial_sums(n, x0, q0, p, N, M)
-    return PAdic._checked(p, M, last[n])
+    _check_sum((n,), (x0,), q0, p, N, M)
+    ((moments,),) = deque(_partial_sums(n, (x0,), q0, p, N, M), maxlen=1)
+    return PAdic._checked(p, M, moments[n])
 
 
 class DepthEntry(_Record):
@@ -334,8 +339,8 @@ class ConvergenceReport(_Record):
         """Whether the valuations never decrease (information only).
 
         S_1 can match the target to more digits than S_2, so a correct
-        run may report False; the floor v_N >= N - CALIBRATED_SLACK is
-        the guarantee.
+        run may report False; the floor v_N >= min(N, M), proven in the
+        module docstring, is the guarantee.
         """
         vals = [e.valuation for e in self.entries]
         return all(a <= b for a, b in zip(vals, vals[1:]))
@@ -373,7 +378,7 @@ def witt_convergence_check(
     embedded mod p^M; one run of the block recursion yields S_N for
     every depth N = 1 .. N_max.
     """
-    (report,) = _convergence_reports((n,), x0, p, q0, M, N_max)
+    (report,) = _convergence_reports((n,), (x0,), p, q0, M, N_max)
     return report
 
 
@@ -392,24 +397,28 @@ def _exact_target(n: int, x0: int, q0: int) -> Fraction:
 
 
 def _convergence_reports(
-    degrees: Sequence[int], x0: int, p: int, q0: int, M: int, N_max: int
+    degrees: Sequence[int], x0s: Sequence[int], p: int, q0: int, M: int,
+    N_max: int,
 ) -> list[ConvergenceReport]:
-    """``witt_convergence_check`` at x0 for each n in degrees, in order.
+    """``witt_convergence_check`` for each n in degrees and x0 in x0s.
 
-    One run of the recursion up to the largest degree gives S_N for all
-    of them, and the parameters are checked once.
+    The reports come in (n, x0) order, each sequence in its given order
+    with duplicates kept.  One recursion up to the largest degree gives
+    every S_N, and the parameters are checked once.
     """
-    _check_sum(degrees, x0, q0, p, N_max, M)
-    targets = [_residue(_exact_target(n, x0, q0), p, M) for n in degrees]
-    rows = [[] for _ in degrees]
-    sums = _partial_sums(max(degrees), x0, q0, p, N_max, M)
-    for N, moments in enumerate(sums, 1):
-        for row, n, target in zip(rows, degrees, targets):
-            error = PAdic._checked(p, M, moments[n] - target)
-            row.append(DepthEntry(N, moments[n], error.valuation()))
+    _check_sum(degrees, x0s, q0, p, N_max, M)
+    cases = [(n, j, x0, _residue(_exact_target(n, x0, q0), p, M))
+             for n in degrees for j, x0 in enumerate(x0s)]
+    rows = [[] for _ in cases]
+    sums = _partial_sums(max(degrees), x0s, q0, p, N_max, M)
+    for N, vectors in enumerate(sums, 1):
+        for row, (n, j, _, target) in zip(rows, cases):
+            partial_sum = vectors[j][n]
+            error = PAdic._checked(p, M, partial_sum - target)
+            row.append(DepthEntry(N, partial_sum, error.valuation()))
     return [
         ConvergenceReport(p, M, q0, n, x0, target, tuple(row))
-        for n, target, row in zip(degrees, targets, rows)
+        for (n, _, x0, target), row in zip(cases, rows)
     ]
 
 
@@ -428,18 +437,12 @@ def shift_identity_check_numeric(
     _check_ints(nshift=nshift)
     if nshift < 1:
         raise ValueError("nshift must be at least 1")
-    _check_sum((m,), nshift, q0, p, N, M)
+    _check_sum((m,), (nshift, 0), q0, p, N, M)
     pm = p**M
-    *_, shifted = _partial_sums(m, nshift, q0, p, N, M)
-    *_, plain = _partial_sums(m, 0, q0, p, N, M)
-    shifted, plain = shifted[m], plain[m]
-    boundary = 0
-    for l in range(nshift):
-        term = pow(q0 % pm, l, pm) * pow(l, m, pm) % pm
-        if (nshift - 1 - l) % 2 == 0:
-            boundary += term
-        else:
-            boundary -= term
+    (last,) = deque(_partial_sums(m, (nshift, 0), q0, p, N, M), maxlen=1)
+    shifted, plain = (moments[m] for moments in last)
+    boundary = sum((-1) ** (nshift - 1 - l) * pow(q0, l, pm) * pow(l, m, pm)
+                   for l in range(nshift))
     sign = 1 if nshift % 2 == 0 else -1
     rhs = PAdic._checked(p, M, sign * plain + 2 * boundary)
     # the change of variable y -> y + nshift carries a factor q0^nshift
@@ -454,21 +457,3 @@ def shift_identity_check_numeric(
         difference=diff,
         valuation=diff.valuation(),
     )
-
-
-def calibrate_truncation_slack() -> int:
-    """Largest N - v_p(S_N - target) observed over the calibration grid.
-
-    The grid is the one the module docstring states: p in {3, 5, 7},
-    q0 = 1 + p, n <= 4, x0 in {0, 1, 2}, N <= 6 at M = 10.  Brute
-    force, exact; the frozen CALIBRATED_SLACK equals this value.
-    """
-    worst = 0
-    for p in (3, 5, 7):
-        q0 = 1 + p
-        for n in range(5):
-            for x0 in (0, 1, 2):
-                report = witt_convergence_check(n, x0, p, q0, 10, 6)
-                for entry in report.entries:
-                    worst = max(worst, entry.N - entry.valuation)
-    return worst

@@ -285,13 +285,13 @@ def test_padic_fails_below_the_floor(capsys, monkeypatch):
         "n=0 x0=0: valuation 1 at depth 2 is below the floor 2"]
 
 
-def test_padic_runs_one_recursion_per_x0(capsys, monkeypatch):
+def test_padic_runs_one_recursion_per_command(capsys, monkeypatch):
     recursions, primality = [], []
     original_sums, original_prime = padic._partial_sums, padic.is_odd_prime
 
-    def counting_sums(n, x0, *rest):
-        recursions.append((n, x0))
-        return original_sums(n, x0, *rest)
+    def counting_sums(n, x0s, *rest):
+        recursions.append((n, x0s))
+        return original_sums(n, x0s, *rest)
 
     def counting_prime(p):
         primality.append(p)
@@ -302,8 +302,8 @@ def test_padic_runs_one_recursion_per_x0(capsys, monkeypatch):
     code, out, _ = run(capsys, ["padic", "--p", "5", "--precision", "8",
                                 "--depth", "8", "--n-max", "6"])
     assert code == 0
-    assert recursions == [(6, 0), (6, 1), (6, 2)]
-    assert primality == [5, 5, 5]
+    assert recursions == [(6, (0, 1, 2))]
+    assert primality == [5]
     reports = json.loads(out)["reports"]
     assert [(r["n"], r["x0"]) for r in reports] == [
         (n, x0) for n in range(7) for x0 in (0, 1, 2)]

@@ -4,11 +4,18 @@ Each case runs ``qeuler`` in process through ``cli.main`` and compares
 stdout, byte for byte, with a fixture under ``tests/golden/``.  The
 ``verify`` fixtures also pin the case counts of the ``xcheck_*``
 cross-checks and the ``branch_notes`` of the piecewise identities.
+Outputs too large to keep as fixtures are pinned by the SHA-256 of
+stdout and the exit code, in ``tests/golden/digests.json``.
 
 A change that is meant to alter the output regenerates the fixtures
-with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+and the digests with ``PYTHONPATH=src python tests/test_golden.py`` and
+says why.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import pathlib
 import sys
 
@@ -17,6 +24,7 @@ import pytest
 from qeuler.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
 
 CASES = {
     "table_n12": ["table", "--n-max", "12"],
@@ -27,8 +35,28 @@ CASES = {
                  "--n-max", "4"],
     "padic_p11": ["padic", "--p", "11", "--q0", "12", "--precision", "6",
                   "--depth", "6", "--n-max", "8", "--x0", "6"],
+    # one column per listed x0, in order, duplicates kept
+    "padic_x0_repeat": ["padic", "--p", "5", "--precision", "4", "--depth", "5",
+                        "--n-max", "3", "--x0", "2", "--x0", "0", "--x0", "2"],
 }
 FORMATS = ("json", "csv", "latex")
+
+#: Reach runs whose outputs run to megabytes (JSON).
+DIGEST_CASES = {
+    "padic_p7_m40_n128": ["padic", "--p", "7", "--precision", "40",
+                          "--depth", "40", "--n-max", "128"],
+    "padic_p3_m500_n2": ["padic", "--p", "3", "--precision", "500",
+                         "--depth", "500", "--n-max", "2"],
+}
+
+
+def stdout_digest(argv):
+    """The SHA-256 of what ``qeuler ARGV`` writes to stdout, and its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+            "exit": code}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -40,6 +68,13 @@ def test_output_matches_golden(capsys, name, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_output_matches_digest(name):
+    expected = json.loads(DIGESTS.read_text())
+    assert sorted(expected) == sorted(DIGEST_CASES)
+    assert stdout_digest(DIGEST_CASES[name]) == expected[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -47,3 +82,5 @@ if __name__ == "__main__":
             path = GOLDEN / f"{name}.{fmt}"
             if main(argv + ["--format", fmt, "--out", str(path)]) != 0:
                 sys.exit(f"{name} {fmt} did not exit 0")
+    digests = {name: stdout_digest(argv) for name, argv in DIGEST_CASES.items()}
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -16,7 +16,6 @@ from qeuler.padic import (
     DepthEntry,
     NonUnitError,
     PAdic,
-    calibrate_truncation_slack,
     fermionic_partial_sum,
     is_odd_prime,
     padic_from_rational,
@@ -126,7 +125,7 @@ def test_every_entry_point_refuses_a_non_int_degree_point_base_or_depth(bad):
         entry_points = [
             lambda: fermionic_partial_sum(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
             lambda: witt_convergence_check(a["n"], a["x0"], 3, a["q0"], 2, a["depth"]),
-            lambda: _convergence_reports((0, a["n"]), a["x0"], 3, a["q0"], 2, a["depth"]),
+            lambda: _convergence_reports((0, a["n"]), (a["x0"],), 3, a["q0"], 2, a["depth"]),
             # x0 is nshift here
             lambda: shift_identity_check_numeric(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
         ]
@@ -268,10 +267,6 @@ def test_shift_identity_domain_errors():
         shift_identity_check_numeric(1, 1, q0=5, p=3, N=2, M=3)
 
 
-def test_calibration_reproduces_frozen_slack():
-    assert calibrate_truncation_slack() == CALIBRATED_SLACK
-
-
 # -- oracles independent of the block recursion ------------------------------
 
 
@@ -325,7 +320,7 @@ def test_convergence_reports_match_per_degree_checks_and_direct_loop():
             for x0 in ORACLE_X0:
                 widest = [direct_sums(n, x0, q0, p, depth, WIDEST) for n in degrees]
                 for M in ORACLE_PRECISIONS:
-                    reports = _convergence_reports(degrees, x0, p, q0, M, depth)
+                    reports = _convergence_reports(degrees, (x0,), p, q0, M, depth)
                     assert [r.n for r in reports] == list(degrees)
                     for n, report in zip(degrees, reports):
                         where = (p, q0, n, x0, M)
@@ -334,8 +329,20 @@ def test_convergence_reports_match_per_degree_checks_and_direct_loop():
                         assert [e.partial_sum for e in report.entries] \
                             == [s % p**M for s in widest[n]], where
                     # any subset, in any order, reads the same reports
-                    assert _convergence_reports((6, 0, 3), x0, p, q0, M, depth) \
+                    assert _convergence_reports((6, 0, 3), (x0,), p, q0, M, depth) \
                         == [reports[6], reports[0], reports[3]]
+
+
+def test_convergence_reports_share_one_recursion_across_x0():
+    depth = 3
+    x0s = ORACLE_X0 + (2, 0)  # duplicates keep their own reports
+    for p in ORACLE_PRIMES:
+        for q0 in oracle_bases(p):
+            for M in ORACLE_PRECISIONS:
+                reports = _convergence_reports(range(6), x0s, p, q0, M, depth)
+                assert reports == [
+                    witt_convergence_check(n, x0, p, q0, M, depth)
+                    for n in range(6) for x0 in x0s], (p, q0, M)
 
 
 def test_exact_target_is_the_symbolic_polynomial_at_the_point():
@@ -352,8 +359,8 @@ def test_a_single_degree_check_evaluates_one_target():
     _coefficients_at.cache_clear()
     witt_convergence_check(9, 2, 5, 6, 4, 2)
     assert _coefficients_at.cache_info().currsize == 1
-    _convergence_reports(range(4), 1, 5, 6, 4, 2)
-    _convergence_reports(range(4), 2, 5, 6, 4, 2)
+    _convergence_reports(range(4), (1,), 5, 6, 4, 2)
+    _convergence_reports(range(4), (2,), 5, 6, 4, 2)
     info = _coefficients_at.cache_info()
     assert (info.currsize, info.hits) == (5, 4)  # once per (n, q0), not per x0
 

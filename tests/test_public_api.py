@@ -9,14 +9,16 @@ from qeuler import bernstein, euler, exactalg, identities, padic
 
 MODULES = (exactalg, euler, bernstein, identities, padic)
 
-# Every name the package exported before it re-exported the module lists.
+# Every name the package exported before it re-exported the module lists,
+# less calibrate_truncation_slack: the padic docstring now proves the floor
+# that it measured.
 EXPORTED_BEFORE = [
     "CALIBRATED_SLACK", "ConvergenceReport", "DepthEntry", "EulerCache",
     "IntegrandExpr", "MINUS_Q_INVERSE", "NonUnitError", "PAdic", "PoleError",
     "PolyQ", "REGISTRY", "RatFunc", "Rational", "SideConditionError",
     "SuiteReport", "VerificationResult", "XPoly", "bernstein_basis",
-    "bernstein_operator", "binomial", "calibrate_truncation_slack",
-    "classical_euler_number", "default_ranges", "euler_number_q",
+    "bernstein_operator", "binomial", "classical_euler_number",
+    "default_ranges", "euler_number_q",
     "euler_number_q_inverse", "euler_poly_q", "fermionic_partial_sum",
     "frobenius_euler", "is_odd_prime", "make_rational", "moment_reduce",
     "padic_from_rational", "poly_gcd", "q", "rational_from_json",
@@ -27,7 +29,7 @@ EXPORTED_BEFORE = [
 
 
 def test_no_exported_name_is_lost():
-    assert len(EXPORTED_BEFORE) == 43
+    assert len(EXPORTED_BEFORE) == 42
     assert set(EXPORTED_BEFORE) <= set(qeuler.__all__)
 
 
