@@ -6,11 +6,10 @@ p | (q0 - 1), the truncated alternating sum
     S_N = sum_{y=0}^{p^N - 1} (-q0)^y (x0 + y)^n      (mod p^M)
 
 converges p-adically to the value of the n-th q-Euler polynomial at x0
-with q = q0.  This module computes the sums exactly with big-integer
-arithmetic reduced mod p^M (never machine words), embeds the exact
-rational target through modular inversion of its denominator, and
-reports the p-adic valuation of the truncation error depth by depth.
-No q-Euler value enters the sums, so they check the symbolic side from
+with q = q0.  This module computes the sums and the targets exactly in
+Z/p^M with big-integer arithmetic (never machine words), and reports
+the p-adic valuation of the truncation error depth by depth.  No
+q-Euler value enters the sums, so they check the symbolic side from
 outside.
 
 The sums are not formed term by term.  With the moments
@@ -35,8 +34,13 @@ S_N = T_n(N).  Only the moment step depends on x0, and T_k(N) is S_N
 at degree k, so one recursion per ``qeuler padic`` command serves every
 ``--x0`` and every degree up to ``--n-max``: per depth, one block row
 G_0 .. G_n and one g^p, then O(n_max^2) residue operations per x0.
-Each target E_n(x0, q0) is found in Q: the coefficients of
-``euler_poly_q(n)`` at q0, once per (n, q0), then Horner's rule at x0.
+
+Each target is the ``euler`` definition E_n(x0, q0) =
+sum_l C(n, l) E_l(q0) x0^(n-l) carried through the ring map
+Z_(p) -> Z/p^M.  The recurrence divides by 1 + q only, so E_l(q0) has
+a power of 1 + q0 = 2 mod p as denominator, a unit for odd p; each
+E_l(q0) is embedded once by inverting it mod p^M, and the sum is
+formed mod p^M.
 
 The step proves the truncation floor.  q0 = 1 mod p gives
 g = (-q0)^(p^N) = -1 mod p^(N+1), so G_0 - 1 = g (1 - g^(p-1)) / (1 - g)
@@ -53,10 +57,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
-from .euler import euler_poly_q
+from .euler import _check_cap, euler_number_q
 from .identities import VerificationResult, _Record, _set
 
 __all__ = [
@@ -149,8 +152,7 @@ class PAdic(_Record):
     __slots__ = ("p", "M", "residue")
 
     def __init__(self, p: int, M: int, residue: int) -> None:
-        if not isinstance(residue, int):
-            raise TypeError(f"PAdic needs an int residue: {residue!r}")
+        _check_ints(residue=residue)
         _check_parameters(p, M)
         _set(self, "p", p)
         _set(self, "M", M)
@@ -160,30 +162,14 @@ class PAdic(_Record):
     def _checked(cls, p: int, M: int, residue: int) -> "PAdic":
         """Build a residue for a (p, M) that has passed _check_parameters.
 
-        Arithmetic and the sums use this, so p is tested for primality
-        by the public entry points only, not again for every residue.
+        The sums use this, so p is tested for primality by the public
+        entry points only, not again for every residue.
         """
         value = object.__new__(cls)
         _set(value, "p", p)
         _set(value, "M", M)
         _set(value, "residue", residue % p**M)
         return value
-
-    def _compatible(self, other: "PAdic") -> None:
-        if (self.p, self.M) != (other.p, other.M):
-            raise ValueError("mixed p or M in PAdic arithmetic")
-
-    def __add__(self, other: "PAdic") -> "PAdic":
-        self._compatible(other)
-        return PAdic._checked(self.p, self.M, self.residue + other.residue)
-
-    def __sub__(self, other: "PAdic") -> "PAdic":
-        self._compatible(other)
-        return PAdic._checked(self.p, self.M, self.residue - other.residue)
-
-    def __mul__(self, other: "PAdic") -> "PAdic":
-        self._compatible(other)
-        return PAdic._checked(self.p, self.M, self.residue * other.residue)
 
     @property
     def is_zero(self) -> bool:
@@ -224,7 +210,7 @@ def padic_from_rational(r: Fraction, p: int, M: int) -> PAdic:
 
     Raises NonUnitError when p divides the denominator.
     """
-    if not isinstance(r, (int, Fraction)):
+    if type(r) is not int and not isinstance(r, Fraction):  # refuses a bool
         raise TypeError(f"padic_from_rational needs an int or Fraction: {r!r}")
     _check_parameters(p, M)
     return PAdic._checked(p, M, _residue(r, p, M))
@@ -372,28 +358,14 @@ def witt_convergence_check(
     M: int,
     N_max: int,
 ) -> ConvergenceReport:
-    """Compare truncated sums against the exact q-Euler polynomial value.
+    """Compare truncated sums against the q-Euler polynomial value.
 
-    The target is E_n(x0, q) evaluated at q = q0 (an exact rational)
-    embedded mod p^M; one run of the block recursion yields S_N for
-    every depth N = 1 .. N_max.
+    The target is E_n(x0, q0) mod p^M, formed from the residues of
+    E_0(q0) .. E_n(q0) (see the module docstring); one run of the block
+    recursion yields S_N for every depth N = 1 .. N_max.
     """
     (report,) = _convergence_reports((n,), (x0,), p, q0, M, N_max)
     return report
-
-
-@lru_cache(maxsize=256)  # every degree up to the q-Euler cap, for two q0
-def _coefficients_at(n: int, q0: int) -> tuple[Fraction, ...]:
-    """The x-coefficients of E_n(x, q) at q = q0, shared by every x0."""
-    return tuple(c(q0) for c in euler_poly_q(n).coeffs)
-
-
-def _exact_target(n: int, x0: int, q0: int) -> Fraction:
-    """E_n(x0, q0) in Q: ``euler_poly_q(n)`` at q0, then at x0 by Horner."""
-    value = Fraction(0)
-    for c in reversed(_coefficients_at(n, q0)):
-        value = value * x0 + c
-    return value
 
 
 def _convergence_reports(
@@ -404,13 +376,19 @@ def _convergence_reports(
 
     The reports come in (n, x0) order, each sequence in its given order
     with duplicates kept.  One recursion up to the largest degree gives
-    every S_N, and the parameters are checked once.
+    every S_N, each E_l(q0) is embedded once, and the parameters are
+    checked once, the degree cap before any value is computed.
     """
     _check_sum(degrees, x0s, q0, p, N_max, M)
-    cases = [(n, j, x0, _residue(_exact_target(n, x0, q0), p, M))
+    n_max = max(degrees)
+    _check_cap(n_max)
+    pm = p**M
+    e = [_residue(euler_number_q(l)(q0), p, M) for l in range(n_max + 1)]
+    cases = [(n, j, x0, sum(comb(n, l) * e[l] * pow(x0, n - l, pm)
+                            for l in range(n + 1)) % pm)
              for n in degrees for j, x0 in enumerate(x0s)]
     rows = [[] for _ in cases]
-    sums = _partial_sums(max(degrees), x0s, q0, p, N_max, M)
+    sums = _partial_sums(n_max, x0s, q0, p, N_max, M)
     for N, vectors in enumerate(sums, 1):
         for row, (n, j, _, target) in zip(rows, cases):
             partial_sum = vectors[j][n]
@@ -444,15 +422,15 @@ def shift_identity_check_numeric(
     boundary = sum((-1) ** (nshift - 1 - l) * pow(q0, l, pm) * pow(l, m, pm)
                    for l in range(nshift))
     sign = 1 if nshift % 2 == 0 else -1
-    rhs = PAdic._checked(p, M, sign * plain + 2 * boundary)
+    rhs = sign * plain + 2 * boundary
     # the change of variable y -> y + nshift carries a factor q0^nshift
-    lhs = PAdic._checked(p, M, shifted * pow(q0 % pm, nshift, pm))
-    diff = lhs - rhs
+    lhs = shifted * pow(q0 % pm, nshift, pm)
+    diff = PAdic._checked(p, M, lhs - rhs)
     return VerificationResult(
         identity="eq2_shift_numeric",
         params=(m, nshift, q0, p, N, M),
-        lhs=lhs,
-        rhs=rhs,
+        lhs=PAdic._checked(p, M, lhs),
+        rhs=PAdic._checked(p, M, rhs),
         equal=diff.is_zero,
         difference=diff,
         valuation=diff.valuation(),

@@ -47,6 +47,14 @@ DIGEST_CASES = {
                           "--depth", "40", "--n-max", "128"],
     "padic_p3_m500_n2": ["padic", "--p", "3", "--precision", "500",
                          "--depth", "500", "--n-max", "2"],
+    # a negative base with q0 = 1 mod p^2
+    "padic_p3_q0m8_m12_n16": ["padic", "--p", "3", "--q0", "-8", "--precision",
+                              "12", "--depth", "12", "--n-max", "16",
+                              "--x0", "5", "--x0", "0"],
+    "table_n128": ["table", "--n-max", "128"],
+    "verify_all_n12": ["verify", "--all", "--n-max", "12"],
+    "verify_thm8_s4_n8": ["verify", "--id", "thm8", "--s-max", "4",
+                          "--n-max", "8"],
 }
 
 

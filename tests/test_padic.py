@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler.euler import euler_poly_q
+from qeuler.euler import IndexCapError, euler_number_q, euler_poly_q
 from qeuler.padic import (
     _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
@@ -21,9 +21,7 @@ from qeuler.padic import (
     padic_from_rational,
     shift_identity_check_numeric,
     witt_convergence_check,
-    _coefficients_at,
     _convergence_reports,
-    _exact_target,
 )
 
 
@@ -62,25 +60,17 @@ def test_rational_embedding():
     assert padic_from_rational(7, 5, 2).residue == 7
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.0, "1/3", 1j, None])
+@pytest.mark.parametrize("bad", [0.1, 0.0, "1/3", 1j, None, True, False])
 def test_rational_embedding_accepts_only_int_and_fraction(bad):
     with pytest.raises(TypeError):
         padic_from_rational(bad, 5, 3)
 
 
 def test_padic_arithmetic():
-    a = PAdic(3, 2, 5)
-    b = PAdic(3, 2, 4)
-    assert (a + b).residue == 0
-    assert (a + b).valuation() == 2  # capped at M
-    assert (a - b).residue == 1
-    assert (a * b).residue == 20 % 9
+    assert PAdic(3, 2, 9).residue == 0
+    assert PAdic(3, 2, 9).valuation() == 2  # capped at M
     assert PAdic(3, 2, 3).valuation() == 1
     assert PAdic(3, 2, -1).residue == 8
-    with pytest.raises(ValueError):
-        a + PAdic(5, 2, 1)
-    with pytest.raises(ValueError):
-        a + PAdic(3, 3, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -98,7 +88,8 @@ def test_padic_constructor_checks_p_and_M():
         PAdic(9, 2, 1)
     with pytest.raises(ValueError):
         PAdic(3, 0, 1)
-    for args in ((5, 2, 3.5), (5, 2, Fraction(1, 2)), (5, 2.0, 3), (5.0, 2, 3)):
+    for args in ((5, 2, 3.5), (5, 2, Fraction(1, 2)), (5, 2, True), (5, 2, False),
+                 (5, 2.0, 3), (5.0, 2, 3)):
         with pytest.raises(TypeError):
             PAdic(*args)
 
@@ -346,23 +337,45 @@ def test_convergence_reports_share_one_recursion_across_x0():
 
 
 def test_exact_target_is_the_symbolic_polynomial_at_the_point():
-    for p, q0 in ((3, 4), (5, -4), (7, 1 + 7 * 7)):
+    # q0 = -8 is 1 mod 3^2
+    for p, q0 in ((3, 4), (5, -4), (7, 1 + 7 * 7), (3, -8)):
         for n in range(17):
             for x0 in (0, 1, 2, 5):
                 symbolic = euler_poly_q(n)(Fraction(x0))(Fraction(q0))
-                assert _exact_target(n, x0, q0) == symbolic, (p, q0, n, x0)
                 report = witt_convergence_check(n, x0, p, q0, 12, 1)
-                assert report.target == padic_from_rational(symbolic, p, 12).residue
+                assert report.target == padic_from_rational(symbolic, p, 12).residue, (
+                    p, q0, n, x0)
 
 
-def test_a_single_degree_check_evaluates_one_target():
-    _coefficients_at.cache_clear()
-    witt_convergence_check(9, 2, 5, 6, 4, 2)
-    assert _coefficients_at.cache_info().currsize == 1
-    _convergence_reports(range(4), (1,), 5, 6, 4, 2)
-    _convergence_reports(range(4), (2,), 5, 6, 4, 2)
-    info = _coefficients_at.cache_info()
-    assert (info.currsize, info.hits) == (5, 4)  # once per (n, q0), not per x0
+def counting_euler_numbers(monkeypatch):
+    import qeuler.padic as padic
+
+    calls = []
+
+    def counting(l):
+        calls.append(l)
+        return euler_number_q(l)
+
+    monkeypatch.setattr(padic, "euler_number_q", counting)
+    return calls
+
+
+def test_a_single_degree_check_evaluates_one_target(monkeypatch):
+    calls = counting_euler_numbers(monkeypatch)
+    for n in (0, 3, 9):
+        for x0s in ((2,), (0, 1, 2, 5, 2)):
+            calls.clear()
+            _convergence_reports(range(n + 1), x0s, 5, 6, 4, 2)
+            assert calls == list(range(n + 1))  # once per l, not per (n, x0)
+
+
+def test_a_degree_above_the_cap_is_refused_before_any_value(monkeypatch):
+    calls = counting_euler_numbers(monkeypatch)
+    with pytest.raises(IndexCapError):
+        witt_convergence_check(129, 0, 3, 4, 2, 2)
+    with pytest.raises(IndexCapError):
+        _convergence_reports((0, 129), (0,), 3, 4, 2, 2)
+    assert calls == []
 
 
 def test_shift_identity_numeric_matches_direct_loop():
