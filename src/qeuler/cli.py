@@ -20,21 +20,29 @@ Three subcommands:
     floor); a valuation that dips while staying above the floor is
     reported (the LaTeX ``mono`` column) but does not fail.
 
+Each command reads its flags from one table, left to right:
+``--flag value`` or ``--flag=value``, where a unique prefix stands for
+the flag and an exact name wins (``--pr`` is ``--precision``, ``--p``
+is ``--p``).  The token after a value flag is its value, even ``-8``.
+Repeated ``--id`` and ``--x0`` keep every value in order, any other
+flag its last.  ``-h`` or ``--help`` prints help made from the table.
+
 Exit codes: 0 success, 1 an identity or convergence check failed,
 2 usage error, 3 output could not be written (to the ``--out`` file or
-to stdout), 4 internal error.  Exit 2 covers any input the library
-refuses with a ValueError; any other exception is a fault of the
-program and exits 4.  Either way ``main`` prints one stderr line and no
-traceback.  Only checks the library does not make live here.
+to stdout), 4 internal error.  Exit 2 covers any flag the parser
+refuses (with argparse's wording) and any input the library refuses
+with a ValueError; any other exception is a fault of the program and
+exits 4.  Either way ``main`` prints one stderr line, ``error: ...``,
+and no traceback.  Only checks the library does not make live here.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .euler import _check_cap, _table_values, table_rows
 from .exactalg import _fraction_latex
@@ -42,69 +50,6 @@ from .identities import REGISTRY, default_ranges, run_suite
 from .padic import CALIBRATED_SLACK, _convergence_reports
 
 FORMATS = ("json", "csv", "latex")
-
-
-def _int_flag(low: int | None = None):
-    """The argparse type of an integer flag, at least ``low`` when given."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
-        return value
-    return parse
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qeuler",
-        description="Exact q-Euler numbers, identity verification, p-adic checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="print q-Euler numbers")
-    table.add_argument("--n-max", type=_int_flag(0), default=10,
-                       help="largest index n (default 10)")
-    _add_output_flags(table)
-    table.set_defaults(handler=cmd_table)
-
-    verify = sub.add_parser("verify", help="verify identities over grids")
-    verify.add_argument("--all", action="store_true",
-                        help="select every identity in the registry")
-    verify.add_argument("--id", action="append", dest="ids", metavar="TAG",
-                        help="identity id (unique prefix accepted, repeatable)")
-    verify.add_argument("--n-max", type=_int_flag(0), default=None)
-    verify.add_argument("--m-max", type=_int_flag(0), default=None)
-    verify.add_argument("--k-max", type=_int_flag(0), default=None)
-    verify.add_argument("--s-max", type=_int_flag(1), default=None)
-    _add_output_flags(verify)
-    verify.set_defaults(handler=cmd_verify)
-
-    padic = sub.add_parser("padic", help="p-adic convergence checks")
-    padic.add_argument("--p", type=_int_flag(1), default=3, help="odd prime (default 3)")
-    padic.add_argument("--precision", type=_int_flag(1), default=3, metavar="M",
-                       help="work modulo p**M (default 3)")
-    padic.add_argument("--depth", type=_int_flag(1), default=6, metavar="N",
-                       help="largest truncation exponent (default 6)")
-    padic.add_argument("--q0", type=_int_flag(), default=None,
-                       help="integer base, q0 = 1 (mod p) (default 1+p)")
-    padic.add_argument("--n-max", type=_int_flag(0), default=4,
-                       help="largest polynomial degree (default 4)")
-    padic.add_argument("--x0", action="append", dest="x0s", type=_int_flag(0),
-                       help="evaluation point (repeatable, default 0 1 2)")
-    _add_output_flags(padic)
-    padic.set_defaults(handler=cmd_padic)
-
-    return parser
-
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="json",
-                     help="output format (default json)")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="write output to PATH instead of stdout")
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -165,7 +110,7 @@ def _csv_text(header: list[str], rows) -> str:
 # -- table ------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     n_max = args.n_max
     if args.format == "json":
         text = json.dumps({"rows": table_rows(n_max)}, indent=2)
@@ -187,22 +132,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify -----------------------------------------------------------
 
 
-def _resolve_identity_token(token: str) -> list[str]:
-    """The tags a --id token names: itself if exact, else every tag it
-    prefixes, else itself again for default_ranges to refuse."""
-    if token in REGISTRY:
-        return [token]
-    return [tag for tag in REGISTRY if tag.startswith(token)] or [token]
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.ids and args.all:
         return _usage_error("--id and --all are mutually exclusive")
     ids = None
     if args.ids:
         ids = []
         for token in args.ids:
-            matches = _resolve_identity_token(token)
+            # a token that names no tag goes on for default_ranges to refuse
+            matches = _unique_prefix(token, REGISTRY) or [token]
             if len(matches) > 1:
                 return _usage_error(f"ambiguous identity id {token!r}; "
                                     f"matches: {', '.join(matches)}")
@@ -244,7 +182,7 @@ def _latex_escape(text: str) -> str:
 # -- padic ------------------------------------------------------------
 
 
-def cmd_padic(args: argparse.Namespace) -> int:
+def cmd_padic(args: SimpleNamespace) -> int:
     p = args.p
     precision = args.precision
     depth = args.depth
@@ -308,18 +246,133 @@ def cmd_padic(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-# -- entry point ------------------------------------------------------
+# -- command line -----------------------------------------------------
+
+# A flag table row: (flag, dest, kind, default, metavar, help).  The kind
+# is bool (a switch), str (any text), a tuple (one of its strings), int
+# (any integer) or an int L (an integer >= L); [kind] makes the flag
+# repeatable, its values kept in order.
+_HELP = ("-h, --help", None, bool, None, None, "show this help message and exit")
+_OUTPUT_FLAGS = (
+    ("--format", "format", FORMATS, "json", "{" + ",".join(FORMATS) + "}",
+     "output format (default json)"),
+    ("--out", "out", str, None, "PATH", "write output to PATH instead of stdout"),
+)
+
+#: command -> (handler, summary, flag table)
+_COMMANDS = {
+    "table": (cmd_table, "print q-Euler numbers", (
+        ("--n-max", "n_max", 0, 10, "N_MAX", "largest index n (default 10)"),
+        *_OUTPUT_FLAGS,
+    )),
+    "verify": (cmd_verify, "verify identities over grids", (
+        ("--all", "all", bool, False, None,
+         "select every identity in the registry"),
+        ("--id", "ids", [str], None, "TAG",
+         "identity id (unique prefix accepted, repeatable)"),
+        ("--n-max", "n_max", 0, None, "N_MAX", ""),
+        ("--m-max", "m_max", 0, None, "M_MAX", ""),
+        ("--k-max", "k_max", 0, None, "K_MAX", ""),
+        ("--s-max", "s_max", 1, None, "S_MAX", ""),
+        *_OUTPUT_FLAGS,
+    )),
+    "padic": (cmd_padic, "p-adic convergence checks", (
+        ("--p", "p", 1, 3, "P", "odd prime (default 3)"),
+        ("--precision", "precision", 1, 3, "M", "work modulo p**M (default 3)"),
+        ("--depth", "depth", 1, 6, "N", "largest truncation exponent (default 6)"),
+        ("--q0", "q0", int, None, "Q0", "integer base, q0 = 1 (mod p) (default 1+p)"),
+        ("--n-max", "n_max", 0, 4, "N_MAX", "largest polynomial degree (default 4)"),
+        ("--x0", "x0s", [0], None, "X0", "evaluation point (repeatable, default 0 1 2)"),
+        *_OUTPUT_FLAGS,
+    )),
+}
+
+
+def _unique_prefix(token: str, names) -> list[str]:
+    """The names ``token`` stands for: itself, else every name it begins."""
+    return [token] if token in names else [n for n in names if n.startswith(token)]
+
+
+def _value(flag: str, kind, text: str):
+    """The value ``text`` gives ``flag``; ValueError if it is not of ``kind``."""
+    if kind is str or (isinstance(kind, tuple) and text in kind):
+        return text
+    if isinstance(kind, tuple):
+        raise ValueError(f"argument {flag}: invalid choice: {text!r}"
+                         f" (choose from {', '.join(map(repr, kind))})")
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"argument {flag}: not an integer: {text!r}") from None
+    if kind is not int and value < kind:
+        raise ValueError(f"argument {flag}: must be >= {kind}: {text}")
+    return value
+
+
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command ``argv`` names and its flag values, or None for them
+    when it asks for help.  A usage error raises ValueError."""
+    command, rows, values, lists, extras = None, {}, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        key, eq, text = ("--help", "", "") if token == "-h" else token.partition("=")
+        is_flag = key.startswith("--") and len(key) > 2
+        found = _unique_prefix(key, ["--help", *rows]) if is_flag else []
+        if len(found) == 1:
+            flag, dest, kind = rows.get(found[0], _HELP)[:3]
+            if kind is bool and eq:
+                raise ValueError(f"argument {flag}: ignored explicit argument"
+                                 f" {text!r}")
+            if kind is bool:
+                if dest is None:  # -h or --help
+                    return command, None
+                values[dest] = True
+                continue
+            if not eq:  # the next token is the value, even if it begins with -
+                text = next(tokens, None)
+                if text is None:
+                    raise ValueError(f"argument {flag}: expected one argument")
+            if isinstance(kind, list):
+                lists.setdefault(dest, []).append(_value(flag, kind[0], text))
+            else:
+                values[dest] = _value(flag, kind, text)
+        elif command is None and not token.startswith("-"):
+            command = _value("command", tuple(_COMMANDS), token)
+            rows = {row[0]: row for row in _COMMANDS[command][2]}
+            values = {row[1]: row[3] for row in rows.values()}
+        else:
+            extras.append(token)
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, SimpleNamespace(**{**values, **lists})
+
+
+def _help(command: str | None) -> str:
+    """What ``-h`` prints for qeuler or for one command, from the tables."""
+    if command is None:
+        usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
+        about = "Exact q-Euler numbers, identity verification, p-adic checks."
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+        flags = ()
+    else:
+        usage, (_, about, flags) = f"{command} [options]", _COMMANDS[command]
+        rows = []
+    rows += [(f"{row[0]} {row[4] or ''}".rstrip(), row[5]) for row in (_HELP, *flags)]
+    width = 2 + max(len(label) for label, _ in rows)
+    return "\n".join([f"usage: qeuler {usage}", "", about, "",
+                      *(f"  {label:<{width}}{text}".rstrip() for label, text in rows),
+                      ""])
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.handler(args)
-    except ValueError as exc:  # the library refused an input
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return _emit(_help(command), None)
+        return _COMMANDS[command][0](args)
+    except ValueError as exc:  # a usage error, or the library refused an input
         return _usage_error(str(exc))
     except Exception as exc:
         message = " ".join(str(exc).split())

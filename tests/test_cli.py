@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -345,13 +346,16 @@ LIBRARY_REFUSALS = [
     ["padic", "--p", "0"],
     ["verify", "--s-max", "0"],
     *LIBRARY_REFUSALS,
+    ["frob"],
+    ["padic", "--p"],
+    ["padic", "--bogus", "1"],
+    ["verify", "--all=1"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    if argv in LIBRARY_REFUSALS:
-        assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -365,7 +369,117 @@ def test_integer_flag_messages(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.rstrip("\n").endswith(message)
+    assert err == f"error: {message}\n"
+
+
+# The flag-parsing refusals besides the integer checks above.
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frob"], "argument command: invalid choice: 'frob'"
+               " (choose from 'table', 'verify', 'padic')"),
+    (["padic", "--x0", "0", "--p"], "argument --p: expected one argument"),
+    (["padic", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["table", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"
+                                    " (choose from 'json', 'csv', 'latex')"),
+    (["verify", "--all=1"], "argument --all: ignored explicit argument '1'"),
+])
+def test_parser_refusal_messages(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+# Each argv, and the same flags spelled out in full.
+_PADIC_SPELLED = ["padic", "--precision", "4", "--depth", "4", "--n-max", "1",
+                  "--x0", "0"]
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["padic", "--prec", "4", "--depth", "4", "--n-max", "1", "--x0", "0"],
+     _PADIC_SPELLED),
+    (["padic", "--precision=4", "--depth=4", "--n", "1", "--x0=0"], _PADIC_SPELLED),
+    (["padic", "--pr", "4", "--depth", "4", "--n-max", "1", "--x0", "0"],
+     _PADIC_SPELLED),
+    (["padic", "--p", "5", "--p", "7", "--n-max", "1", "--x0", "0"],
+     ["padic", "--p", "7", "--n-max", "1", "--x0", "0"]),
+    (["padic", "--p", "3", "--q0", "-8", "--n-max", "1", "--x0", "0"],
+     ["padic", "--p=3", "--q0=-8", "--n-max=1", "--x0=0"]),
+    (["padic", "--n-max", "1", "--x0", "2", "--x0", "0", "--x0", "2", "--x0", "1"],
+     ["padic", "--n-max=1", "--x0=2", "--x0=0", "--x0=2", "--x0=1"]),
+])
+def test_flag_spellings_agree(capsys, argv, spelled):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+    assert run(capsys, spelled)[:2] == (code, out)
+
+
+def test_repeated_flags(capsys):
+    # a scalar flag keeps its last value, a repeatable one every value in order
+    code, out, _ = run(capsys, ["padic", "--p", "5", "--p", "7", "--q0", "-13",
+                                "--n-max", "0", "--x0", "2", "--x0", "0",
+                                "--x0", "2", "--x0", "1"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["p"], data["q0"]) == (7, -13)
+    assert [report["x0"] for report in data["reports"]] == [2, 0, 2, 1]
+
+
+# What -h prints for qeuler and for each command: every command or flag
+# with its help string ("" for none).
+_OUTPUT_HELP = {
+    "--format": "output format (default json)",
+    "--out": "write output to PATH instead of stdout",
+}
+HELP = {
+    None: {"table": "print q-Euler numbers",
+           "verify": "verify identities over grids",
+           "padic": "p-adic convergence checks"},
+    "table": {"--n-max": "largest index n (default 10)", **_OUTPUT_HELP},
+    "verify": {"--all": "select every identity in the registry",
+               "--id": "identity id (unique prefix accepted, repeatable)",
+               "--n-max": "", "--m-max": "", "--k-max": "", "--s-max": "",
+               **_OUTPUT_HELP},
+    "padic": {"--p": "odd prime (default 3)",
+              "--precision": "work modulo p**M (default 3)",
+              "--depth": "largest truncation exponent (default 6)",
+              "--q0": "integer base, q0 = 1 (mod p) (default 1+p)",
+              "--n-max": "largest polynomial degree (default 4)",
+              "--x0": "evaluation point (repeatable, default 0 1 2)",
+              **_OUTPUT_HELP},
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, "table", "verify", "padic"])
+def test_help(capsys, command, flag):
+    code, out, err = run(capsys, [command, flag] if command else [flag])
+    assert code == 0
+    assert err == ""
+    text = " ".join(out.split())
+    entries = {"--help": "show this help message and exit", **HELP[command]}
+    for name, help_text in entries.items():
+        # the name, its metavar if any, then its help string
+        assert re.search(rf"(^| ){re.escape(name)}( \S+)? {re.escape(help_text)}",
+                         text), name
+
+
+def test_commands_load_no_argparse(tmp_path):
+    # argparse, with the gettext and locale it imports, cost more start-up
+    # time than the padic computation itself
+    script = "\n".join([
+        "import sys",
+        "from qeuler import cli",
+        f"assert cli.main(['padic', '--n-max', '1',"
+        f" '--out', {str(tmp_path / 'p')!r}]) == 0",
+        f"assert cli.main(['verify', '--id', 'eq9', '--n-max', '2',"
+        f" '--out', {str(tmp_path / 'v')!r}]) == 0",
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class _ClosedPipe:
