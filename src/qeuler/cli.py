@@ -15,10 +15,10 @@ Three subcommands:
     Run the truncated fermionic sum against the exact q-Euler
     polynomial value and report how fast the p-adic valuation of the
     error grows with the truncation depth.  A run fails when some depth
-    N falls below the floor min(N - slack, M), or when M is not reached
-    by depth M + slack, where slack is 0 (``qeuler.padic`` proves the
-    floor); a valuation that dips while staying above the floor is
-    reported (the LaTeX ``mono`` column) but does not fail.
+    N falls below the floor min(N, M), or when M is not reached by
+    depth M (``qeuler.padic`` proves the floor, so the JSON ``slack`` is
+    0); a valuation that dips while staying above the floor is reported
+    (the LaTeX ``mono`` column) but does not fail.
 
 Each command reads its flags from one table, left to right:
 ``--flag value`` or ``--flag=value``, where a unique prefix stands for
@@ -34,14 +34,18 @@ refuses (with argparse's wording) and any input the library refuses
 with a ValueError; any other exception is a fault of the program and
 exits 4.  Either way ``main`` prints one stderr line, ``error: ...``,
 and no traceback.  Only checks the library does not make live here.
+
+JSON output is the text ``json.dumps(value, indent=2)`` gives, written
+by ``_json``: with ``indent`` set, the stdlib runs its pure-Python
+encoder, which is slower for the same bytes.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
 from .euler import _check_cap, _table_values, table_rows
@@ -97,6 +101,34 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the str, int, bool, None, list,
+    tuple and str-keyed dict values the records' ``to_json`` build.
+
+    Anything else, a float or a non-str key included, raises TypeError.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # _encode_str refuses a key that is not a str
+        items = [_encode_str(key) + ": " + _json(item, inner)
+                 for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__}"
+                        " is not JSON serializable")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
 def _csv_text(header: list[str], rows) -> str:
     import csv  # here, so that runs in the other formats never load it
 
@@ -113,7 +145,7 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_table(args: SimpleNamespace) -> int:
     n_max = args.n_max
     if args.format == "json":
-        text = json.dumps({"rows": table_rows(n_max)}, indent=2)
+        text = _json({"rows": table_rows(n_max)})
     elif args.format == "csv":
         text = _csv_text(
             ["n", "e_nq", "e_at_q1", "frobenius"],
@@ -152,7 +184,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     report = run_suite(ranges)
 
     if args.format == "json":
-        text = json.dumps(report.to_json(), indent=2)
+        text = _json(report.to_json())
     elif args.format == "csv":
         text = _csv_text(
             ["id", "params", "status"],
@@ -187,11 +219,10 @@ def cmd_padic(args: SimpleNamespace) -> int:
     precision = args.precision
     depth = args.depth
     q0 = args.q0 if args.q0 is not None else 1 + p
-    threshold = precision + CALIBRATED_SLACK
-    if depth < threshold:
+    if depth < precision:  # the floor min(N, M) reaches M by depth M: no slack
         return _usage_error(
             f"--depth {depth} is too small to decide convergence to"
-            f" precision {precision}; need at least {threshold}")
+            f" precision {precision}; need at least {precision}")
     _check_cap(args.n_max)
     x0s = args.x0s or (0, 1, 2)
 
@@ -202,16 +233,16 @@ def cmd_padic(args: SimpleNamespace) -> int:
     for report in reports:
         n, x0 = report.n, report.x0
         for entry in report.entries:
-            floor = min(entry.N - CALIBRATED_SLACK, precision)
+            floor = min(entry.N, precision)
             if entry.valuation < floor:
                 failures.append(
                     f"n={n} x0={x0}: valuation {entry.valuation} at"
                     f" depth {entry.N} is below the floor {floor}")
         reached = report.reached_at()
-        if reached is None or reached > threshold:
+        if reached is None or reached > precision:
             failures.append(
                 f"n={n} x0={x0}: valuation did not reach {precision}"
-                f" by depth {threshold}")
+                f" by depth {precision}")
 
     if args.format == "json":
         payload = {
@@ -223,7 +254,7 @@ def cmd_padic(args: SimpleNamespace) -> int:
             "reports": [report.to_json() for report in reports],
             "failures": failures,
         }
-        text = json.dumps(payload, indent=2)
+        text = _json(payload)
     elif args.format == "csv":
         text = _csv_text(
             ["p", "M", "q0", "n", "x0", "N", "S", "val"],

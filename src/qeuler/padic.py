@@ -40,7 +40,9 @@ sum_l C(n, l) E_l(q0) x0^(n-l) carried through the ring map
 Z_(p) -> Z/p^M.  The recurrence divides by 1 + q only, so E_l(q0) has
 a power of 1 + q0 = 2 mod p as denominator, a unit for odd p; each
 E_l(q0) is embedded once by inverting it mod p^M, and the sum is
-formed mod p^M.
+formed mod p^M.  Each depth's valuation is read from the bare residue
+(S_N - target) mod p^M by ``_valuation``, which ``PAdic.valuation``
+calls too; no ``PAdic`` is built per depth.
 
 The step proves the truncation floor.  q0 = 1 mod p gives
 g = (-q0)^(p^N) = -1 mod p^(N+1), so G_0 - 1 = g (1 - g^(p-1)) / (1 - g)
@@ -176,33 +178,38 @@ class PAdic(_Record):
         return self.residue == 0
 
     def valuation(self) -> int:
-        """v_p of the residue, capped at M (the zero residue reports M).
-
-        Divides by p, p^2, p^4, ... while they divide, then takes the
-        same powers back down once each, so the cost is logarithmic in
-        the valuation.
-        """
-        if self.residue == 0:
-            return self.M
-        r = self.residue
-        powers = []
-        power = self.p
-        while r % power == 0:
-            r //= power
-            powers.append(power)
-            power *= power
-        v = (1 << len(powers)) - 1
-        for k in reversed(range(len(powers))):
-            if r % powers[k] == 0:
-                r //= powers[k]
-                v += 1 << k
-        return v
+        """v_p of the residue, capped at M (the zero residue reports M)."""
+        return _valuation(self.residue, self.p, self.M)
 
     def to_json(self) -> dict:
         return {"p": self.p, "M": self.M, "residue": str(self.residue)}
 
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.p}^{self.M})"
+
+
+def _valuation(residue: int, p: int, M: int) -> int:
+    """v_p of a residue in [0, p^M), capped at M (zero reports M).
+
+    Divides by p, p^2, p^4, ... while they divide, then takes the same
+    powers back down once each, so the cost is logarithmic in the
+    valuation.
+    """
+    if residue == 0:
+        return M
+    r = residue
+    powers = []
+    power = p
+    while r % power == 0:
+        r //= power
+        powers.append(power)
+        power *= power
+    v = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if r % powers[k] == 0:
+            r //= powers[k]
+            v += 1 << k
+    return v
 
 
 def padic_from_rational(r: Fraction, p: int, M: int) -> PAdic:
@@ -392,8 +399,8 @@ def _convergence_reports(
     for N, vectors in enumerate(sums, 1):
         for row, (n, j, _, target) in zip(rows, cases):
             partial_sum = vectors[j][n]
-            error = PAdic._checked(p, M, partial_sum - target)
-            row.append(DepthEntry(N, partial_sum, error.valuation()))
+            valuation = _valuation((partial_sum - target) % pm, p, M)
+            row.append(DepthEntry(N, partial_sum, valuation))
     return [
         ConvergenceReport(p, M, q0, n, x0, target, tuple(row))
         for (n, _, x0, target), row in zip(cases, rows)

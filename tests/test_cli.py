@@ -6,8 +6,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qeuler import cli, euler, padic
 from qeuler.cli import main
@@ -599,3 +602,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,e_nq,e_at_q1,frobenius"
+
+
+# -- the JSON writer -----------------------------------------------------
+
+# quotes, backslashes, control and non-ASCII characters and lone surrogates
+JSON_TEXT = st.text() | st.text(st.characters(categories=["Cs"])) | st.text(
+    st.sampled_from('a"\\/\x00\n\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'))
+JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+JSON_VALUES = st.recursive(
+    JSON_TEXT | JSON_INTS | st.booleans() | st.none(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [[], (), {}, [[], {}, ()], {"": [{}]},
+                                   [True, False, None, 1, -2**70], 2**64])
+def test_json_writer_edge_values(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, Fraction(1, 2), {1}, {1: 2},
+                                   [1, {"a": 1.0}], {"a": {True: 1}}])
+def test_json_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_unserialisable_output_is_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(padic.DepthEntry, "to_json", lambda self: 0.5)
+    code, out, err = run(capsys, ["padic", "--n-max", "0"])
+    assert code == 4
+    assert out == ""
+    assert err == ("error: internal error: TypeError: Object of type float"
+                   " is not JSON serializable\n")

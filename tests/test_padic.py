@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuler.cli import main
 from qeuler.euler import IndexCapError, euler_number_q, euler_poly_q
 from qeuler.padic import (
     _PRIMALITY_BOUND,
@@ -22,6 +23,7 @@ from qeuler.padic import (
     shift_identity_check_numeric,
     witt_convergence_check,
     _convergence_reports,
+    _valuation,
 )
 
 
@@ -79,8 +81,10 @@ def test_valuation_of_a_power_times_a_unit(p):
     for u in (1, p - 1, 2 * p**3 + 1):
         for v in range(M):
             assert PAdic(p, M, p**v * u).valuation() == v
+            assert _valuation(p**v * u % p**M, p, M) == v
     assert PAdic(p, M, 0).valuation() == M
     assert PAdic(p, M, p**M).valuation() == M
+    assert _valuation(0, p, M) == M
 
 
 def test_padic_constructor_checks_p_and_M():
@@ -334,6 +338,28 @@ def test_convergence_reports_share_one_recursion_across_x0():
                 assert reports == [
                     witt_convergence_check(n, x0, p, q0, M, depth)
                     for n in range(6) for x0 in x0s], (p, q0, M)
+
+
+def test_reports_build_no_residue_record(monkeypatch, capsys):
+    argv = ["padic", "--p", "11", "--q0", "12", "--precision", "6",
+            "--depth", "6", "--n-max", "8", "--x0", "6", "--x0", "0"]
+
+    def reports_and_outputs():
+        outputs = []
+        for fmt in ("json", "csv", "latex"):
+            assert main(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr())
+        return _convergence_reports(range(9), (6, 0), 11, 12, 6, 6), outputs
+
+    expected = reports_and_outputs()
+
+    def refuse(*args):
+        raise AssertionError("a PAdic was built")
+
+    monkeypatch.setattr(PAdic, "_checked", refuse)
+    with pytest.raises(AssertionError, match="a PAdic was built"):
+        fermionic_partial_sum(8, 6, 12, 11, 6, 6)
+    assert reports_and_outputs() == expected
 
 
 def test_exact_target_is_the_symbolic_polynomial_at_the_point():
