@@ -48,7 +48,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
-from .euler import _check_cap, _table_values, table_rows
+from .euler import _table_values, table_rows
 from .exactalg import _fraction_latex
 from .identities import REGISTRY, default_ranges, run_suite
 from .padic import CALIBRATED_SLACK, _convergence_reports
@@ -192,14 +192,14 @@ def cmd_verify(args: SimpleNamespace) -> int:
              for tag, params, status in report.case_log),
         )
     else:
-        lines = []
-        for tag in ranges:
-            cases = [row for row in report.case_log if row[0] == tag]
-            passed = sum(1 for row in cases if row[2] == "pass")
-            failed = sum(1 for row in cases if row[2] == "fail")
-            lines.append(f"\\texttt{{{_latex_escape(tag)}}} & {len(cases)}"
-                         f" & {passed} & {failed} \\\\")
-        text = "\n".join(lines)
+        tally = {tag: {"pass": 0, "fail": 0} for tag in ranges}
+        for tag, _, status in report.case_log:
+            if tag in tally:
+                tally[tag][status] += 1
+        text = "\n".join(
+            f"\\texttt{{{_latex_escape(tag)}}} & {counts['pass'] + counts['fail']}"
+            f" & {counts['pass']} & {counts['fail']} \\\\"
+            for tag, counts in tally.items())
 
     code = _emit(text, args.out)
     if code != 0:
@@ -223,7 +223,6 @@ def cmd_padic(args: SimpleNamespace) -> int:
         return _usage_error(
             f"--depth {depth} is too small to decide convergence to"
             f" precision {precision}; need at least {precision}")
-    _check_cap(args.n_max)
     x0s = args.x0s or (0, 1, 2)
 
     # one recursion serves every (n, x0); reports come in (n, x0) order

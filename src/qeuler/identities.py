@@ -115,13 +115,37 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Equality, hashing, repr and immutability by field value, written once.
+    """Construction, equality, hashing, repr and immutability, written once.
 
-    A record names its fields, in order, as its ``__slots__`` and sets
-    them in its own ``__init__`` through ``_set``.
+    A record names its fields, in order, as its ``__slots__``.  It is
+    built from one value per field, by position or by keyword; trailing
+    fields the caller leaves out take their value from the class's
+    ``_defaults``.  Too many values, a missing field, an unknown keyword
+    or a field given twice raise TypeError.  A record that checks its
+    values keeps its own ``__init__`` and passes them on to this one.
     """
 
     __slots__ = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, "
+                            f"got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "given twice" if name in names else "unknown"
+            raise TypeError(f"{type(self).__name__} field {name!r} is {problem}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -161,9 +185,7 @@ class IntegrandExpr(_Record):
             raise ValueError(f"qsign must be +1 or -1, got {qsign}")
         if not isinstance(poly, XPoly):
             raise TypeError("poly must be an XPoly")
-        _set(self, "qsign", qsign)
-        _set(self, "qshift", qshift)
-        _set(self, "poly", poly)
+        super().__init__(qsign, qshift, poly)
 
 
 def moment_reduce(expr: IntegrandExpr) -> RatFunc:
@@ -194,16 +216,7 @@ class VerificationResult(_Record):
     """
 
     __slots__ = ("identity", "params", "lhs", "rhs", "equal", "difference", "valuation")
-
-    def __init__(self, identity: str, params: tuple[int, ...], lhs: object, rhs: object,
-                 equal: bool, difference: object, valuation: int | None = None) -> None:
-        _set(self, "identity", identity)
-        _set(self, "params", params)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "equal", equal)
-        _set(self, "difference", difference)
-        _set(self, "valuation", valuation)
+    _defaults = {"valuation": None}
 
     def to_json(self) -> dict:
         out = {
@@ -259,28 +272,8 @@ class Identity(_Record):
 
     __slots__ = ("tag", "description", "bounds", "lhs", "rhs", "admissible", "rhs_k0",
                  "max_index", "orbit")
-
-    def __init__(
-        self,
-        tag: str,
-        description: str,
-        bounds: tuple[tuple[str, str, int], ...],
-        lhs: Callable[[Params], object],
-        rhs: Callable[[Params], object],
-        admissible: Callable[[Params], bool] = _always,
-        rhs_k0: Callable[[Params], object] | None = None,
-        max_index: Callable[[Bounds], int] | None = None,
-        orbit: Callable[[Params], Hashable] = _itself,
-    ) -> None:
-        _set(self, "tag", tag)
-        _set(self, "description", description)
-        _set(self, "bounds", bounds)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "admissible", admissible)
-        _set(self, "rhs_k0", rhs_k0)
-        _set(self, "max_index", max_index)
-        _set(self, "orbit", orbit)
+    _defaults = {"admissible": _always, "rhs_k0": None, "max_index": None,
+                 "orbit": _itself}
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -760,14 +753,7 @@ class ExploratoryRecord(_Record):
     """
 
     __slots__ = ("identity", "params", "computed", "equal", "note")
-
-    def __init__(self, identity: str, params: tuple[int, ...], computed: bool,
-                 equal: bool | None, note: str = "") -> None:
-        _set(self, "identity", identity)
-        _set(self, "params", params)
-        _set(self, "computed", computed)
-        _set(self, "equal", equal)
-        _set(self, "note", note)
+    _defaults = {"note": ""}
 
     def to_json(self) -> dict:
         return {
@@ -783,11 +769,6 @@ class BranchNote(_Record):
     """Whether the k > 0 closed form reproduces the k = 0 value (informational)."""
 
     __slots__ = ("identity", "params", "coincide")
-
-    def __init__(self, identity: str, params: tuple[int, ...], coincide: bool) -> None:
-        _set(self, "identity", identity)
-        _set(self, "params", params)
-        _set(self, "coincide", coincide)
 
     def to_json(self) -> dict:
         return {
@@ -980,7 +961,7 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
     a = euler_poly_q(n).invert_q()(-1) * RatFunc((-1) ** n)
     b = q * euler_poly_q(n)(2)
     c = 2 + _ONE_OVER_Q * euler_number_q(n)
-    d = moment_reduce(IntegrandExpr(-1, 0, XPoly(_binomial_power(1, -1, n))))
+    d = _reduce_moments(-1, 0, _binomial_power(1, -1, n))
     return a, b, c, d
 
 

@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import comb
 
 from .euler import _check_cap, euler_number_q
-from .identities import VerificationResult, _Record, _set
+from .identities import VerificationResult, _Record
 
 __all__ = [
     "NonUnitError",
@@ -156,9 +156,7 @@ class PAdic(_Record):
     def __init__(self, p: int, M: int, residue: int) -> None:
         _check_ints(residue=residue)
         _check_parameters(p, M)
-        _set(self, "p", p)
-        _set(self, "M", M)
-        _set(self, "residue", residue % p**M)
+        super().__init__(p, M, residue % p**M)
 
     @classmethod
     def _checked(cls, p: int, M: int, residue: int) -> "PAdic":
@@ -168,9 +166,7 @@ class PAdic(_Record):
         entry points only, not again for every residue.
         """
         value = object.__new__(cls)
-        _set(value, "p", p)
-        _set(value, "M", M)
-        _set(value, "residue", residue % p**M)
+        _Record.__init__(value, p, M, residue % p**M)
         return value
 
     @property
@@ -303,11 +299,6 @@ class DepthEntry(_Record):
 
     __slots__ = ("N", "partial_sum", "valuation")
 
-    def __init__(self, N: int, partial_sum: int, valuation: int) -> None:
-        _set(self, "N", N)
-        _set(self, "partial_sum", partial_sum)
-        _set(self, "valuation", valuation)
-
     def to_json(self) -> dict:
         return {"N": self.N, "S": str(self.partial_sum), "val": self.valuation}
 
@@ -316,16 +307,6 @@ class ConvergenceReport(_Record):
     """Valuation-by-depth record of one truncated-sum convergence run."""
 
     __slots__ = ("p", "M", "q0", "n", "x0", "target", "entries")
-
-    def __init__(self, p: int, M: int, q0: int, n: int, x0: int, target: int,
-                 entries: tuple[DepthEntry, ...]) -> None:
-        _set(self, "p", p)
-        _set(self, "M", M)
-        _set(self, "q0", q0)
-        _set(self, "n", n)
-        _set(self, "x0", x0)
-        _set(self, "target", target)
-        _set(self, "entries", entries)
 
     @property
     def monotone(self) -> bool:

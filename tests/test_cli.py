@@ -575,8 +575,9 @@ def test_cache_cap_is_usage_error(monkeypatch, capsys, argv):
 
 def test_padic_refuses_index_above_cap_before_any_report(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "_convergence_reports",
-                        lambda *args, **kw: calls.append((args, kw)))
+    for name in ("_partial_sums", "euler_number_q"):
+        monkeypatch.setattr(padic, name,
+                            lambda *args, name=name: calls.append((name, args)))
     code, out, err = run(capsys, ["padic", "--n-max", "129"])
     assert code == 2
     assert out == ""

@@ -781,6 +781,35 @@ def test_equal_fields_give_equal_records_and_hashes():
         "BranchNote(identity='t', params=(2, 0), coincide=False)")
 
 
+@pytest.mark.parametrize("cls", [VerificationResult, Identity, ExploratoryRecord, BranchNote])
+def test_shared_constructor_refuses_malformed_field_lists(cls):
+    names = cls.__slots__
+    values = tuple(range(len(names)))
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == cls(**dict(zip(names, values)))
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=f"missing field {names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    required = len(names) - len(cls._defaults)
+    with pytest.raises(TypeError, match=f"missing field {names[required - 1]!r}"):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError, match="'bogus' is unknown"):
+        cls(*values, bogus=0)
+    with pytest.raises(TypeError, match=f"{names[0]!r} is given twice"):
+        cls(values[0], **dict(zip(names, values)))
+
+
+@pytest.mark.parametrize("record", [ExploratoryRecord("t", (0,), False, None, "why"),
+                                    BranchNote("t", (2, 0), True)])
+def test_small_records_survive_pickle_and_copy(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin is not record
+        assert twin == record and hash(twin) == hash(record)
+        assert twin.to_json() == record.to_json()
+
+
 def test_suite_reports_never_share_their_lists():
     names = ("failures", "case_log", "exploratory", "branch_notes")
     first, second = SuiteReport(), SuiteReport()

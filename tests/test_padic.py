@@ -480,6 +480,24 @@ def test_records_build_by_position_and_keyword():
             report.entries) == fields
 
 
+@pytest.mark.parametrize("cls", [DepthEntry, ConvergenceReport])
+def test_shared_constructor_refuses_malformed_field_lists(cls):
+    names = cls.__slots__
+    values = tuple(range(len(names)))
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == cls(**dict(zip(names, values)))
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=f"missing field {names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"missing field {names[-1]!r}"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="'bogus' is unknown"):
+        cls(*values, bogus=0)
+    with pytest.raises(TypeError, match=f"{names[0]!r} is given twice"):
+        cls(values[0], **dict(zip(names, values)))
+
+
 def test_records_are_frozen_and_hash_by_value():
     records = [PAdic(5, 2, 3), DepthEntry(2, 7, 1),
                witt_convergence_check(n=1, x0=0, p=3, q0=4, M=3, N_max=2)]
