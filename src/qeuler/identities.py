@@ -47,9 +47,15 @@ Ten identities have an integral left side.  cor5, cor7 and cor9 are
 among them: their alternating sum of E_{j+sk}(1/q) against C(N-sk, j)
 (-1)^j is, by the moment rule, the integral of q^-x x^sk (1-x)^(N-sk),
 with (sk, N) = (k, n), (2k, n+m) and (s k, sum n_i).  All ten state
-their integrand as registry data, params -> (qsign, qshift, integer
-coefficients of P), and share one left side, ``_integral_side``.  The
-powers of 1-x and x+c in P are the cached rows of ``_binomial_power``.
+their integrand as registry data, ``Identity.integrand``: params ->
+(qsign, qshift, integer coefficients of P).  Their left sides and the
+reflection chain's integral are c q^qshift times the reduction of the
+primitive row P/c (c the content of P, signed like its last coefficient),
+cached by (qsign, row) alone and read by no closed form.  thm4 and cor5,
+thm6 and cor7, thm8 and cor9 share entries, so the left-side halves of
+``xcheck_thm8_*`` and ``xcheck_cor9_*`` read one entry twice: only their
+closed-form halves carry evidence.  The powers of 1-x and x+c in P are
+the cached rows of ``_binomial_power``.
 
 Each entry also states which tuples have the same two sides: its
 ``orbit`` key.  A product of Bernstein factors commutes, so thm6 and
@@ -61,7 +67,9 @@ of it is recorded with its own params and the first tuple's sides.  The
 sums of thm6 and thm8, which distinct orbits share, are pure functions
 of (n+m, k) and (sum n_i, s, k) and are cached by argument for the
 process, like the q-Euler values they read and bounded by the same cap;
-scalar prefactors such as prod C(n_i, k) stay outside them.
+scalar prefactors such as prod C(n_i, k) stay outside them.  The rows
+of the primitive reductions have degree at most that cap, but eq2's
+uncapped nshift adds one entry per (m, nshift).
 ``run_suite`` and a bare ``verify_identity`` compute through the same
 functions.  Two sides are compared by subtracting only when their
 canonical forms differ.
@@ -71,7 +79,8 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from math import gcd
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .bernstein import _bernstein_ints, bernstein_basis
 from .euler import (
@@ -191,20 +200,29 @@ class IntegrandExpr(_Record):
 def moment_reduce(expr: IntegrandExpr) -> RatFunc:
     """Alternating-measure integral of the integrand, reduced termwise.
 
-    Linear in the polynomial part; the result is exact in Q(q).
+    Linear in the polynomial part and exact in Q(q); this general path
+    caches nothing.
     """
     return _reduce_moments(expr.qsign, expr.qshift, expr.poly.coeffs)
 
 
 def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFunc:
-    """The body of ``moment_reduce``, on the coefficients of P(x) in x.
-
-    ``_integral_side`` passes the registry's integer coefficient tuples,
-    which ``lincomb`` takes as they are.
-    """
+    """The body of ``moment_reduce`` and of the cached ``_reduce_primitive``."""
     moment = euler_number_q if qsign == 1 else euler_number_q_inverse
     total = lincomb(coeffs, [moment(j) for j in range(len(coeffs))])
     return q**qshift * total if qshift else total
+
+
+def _reduce_integer(qsign: int, qshift: int, ints: Sequence[int]) -> RatFunc:
+    """The reduced integral of an integer integrand (see the module docstring)."""
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    total = content * _reduce_primitive(qsign, tuple(c // content for c in ints))
+    return q**qshift * total if qshift else total
+
+
+@cache
+def _reduce_primitive(qsign: int, row: tuple[int, ...]) -> RatFunc:
+    return _reduce_moments(qsign, 0, row)
 
 
 class VerificationResult(_Record):
@@ -268,12 +286,13 @@ class Identity(_Record):
     ``max_index(bounds)`` is the largest q-Euler index any tuple of the
     grid asks for (None when the identity asks for none); ``run_suite``
     checks it against the cap of the shared cache before any case runs.
+    ``integrand``, set on the ten integral identities, gives their ``lhs``.
     """
 
     __slots__ = ("tag", "description", "bounds", "lhs", "rhs", "admissible", "rhs_k0",
-                 "max_index", "orbit")
+                 "max_index", "orbit", "integrand")
     _defaults = {"admissible": _always, "rhs_k0": None, "max_index": None,
-                 "orbit": _itself}
+                 "orbit": _itself, "integrand": None}
 
     def enumerate_params(self, bounds: Bounds) -> Iterator[Params]:
         """The raw grid for the given bound values.
@@ -319,15 +338,6 @@ def _check_params(identity: Identity, params: Params) -> Params:
 
 
 # integral left sides and the integer integrands they reduce
-
-def _integral_side(integrand: Callable[[Params], tuple]):
-    """The left side: params -> the reduced integral of ``integrand(params)``.
-
-    An integrand q^qshift * q^(qsign*x) * P(x) is (qsign, qshift, the tuple
-    of integer coefficients of P in x).
-    """
-    return lambda params: _reduce_moments(*integrand(params))
-
 
 def _basis_ints(ns: Sequence[int], k: int) -> tuple[int, ...]:
     """The integer coefficients of the product of the B_{k,n} over ns."""
@@ -534,6 +544,7 @@ REGISTRY: dict[str, Identity] = {}
 
 
 def _register(**fields) -> None:
+    fields.setdefault("lhs", lambda p: _reduce_integer(*fields["integrand"](p)))
     identity = Identity(**fields)
     REGISTRY[identity.tag] = identity
 
@@ -555,7 +566,7 @@ _register(
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
     max_index=lambda b: b["m"],
     admissible=lambda p: p[1] >= 1,
-    lhs=_integral_side(lambda p: (1, p[1], _binomial_power(p[1], 1, p[0]))),
+    integrand=lambda p: (1, p[1], _binomial_power(p[1], 1, p[0])),
     rhs=_eq2_rhs,
 )
 
@@ -583,7 +594,7 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_integral_side(lambda p: (1, 1, _binomial_power(2, 1, p[0]))),
+    integrand=lambda p: (1, 1, _binomial_power(2, 1, p[0])),
     rhs=_thm2_rhs,
 )
 
@@ -596,7 +607,7 @@ _register(
     bounds=(("n", "n", 8),),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[0] >= 1,
-    lhs=_integral_side(lambda p: (-1, 0, _binomial_power(1, -1, p[0]))),
+    integrand=lambda p: (-1, 0, _binomial_power(1, -1, p[0])),
     rhs=_thm3_rhs,
 )
 
@@ -609,7 +620,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side(lambda p: (1, 0, _basis_ints(p[:1], p[1]))),
+    integrand=lambda p: (1, 0, _basis_ints(p[:1], p[1])),
     rhs=_eq14_rhs,
 )
 
@@ -630,7 +641,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:1], p[1]))),
+    integrand=lambda p: (-1, 1, _basis_ints(p[:1], p[1])),
     rhs=_thm4_rhs,
     rhs_k0=_thm4_rhs_k0,
 )
@@ -644,7 +655,7 @@ _register(
     bounds=(("n", "n", 8), ("k", "k", 8)),
     max_index=lambda b: b["n"],
     admissible=lambda p: p[1] < p[0],
-    lhs=_integral_side(lambda p: (-1, 0, _moment_sum_ints(p[1], p[0]))),
+    integrand=lambda p: (-1, 0, _moment_sum_ints(p[1], p[0])),
     rhs=_cor5_rhs,
     rhs_k0=_cor5_rhs_k0,
 )
@@ -659,7 +670,7 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:2], p[2]))),
+    integrand=lambda p: (-1, 1, _basis_ints(p[:2], p[2])),
     rhs=_thm6_rhs,
     rhs_k0=_thm6_rhs_k0,
     orbit=_thm6_orbit,
@@ -675,7 +686,7 @@ _register(
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
     max_index=lambda b: b["n"] + b["m"],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
-    lhs=_integral_side(lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1]))),
+    integrand=lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1])),
     rhs=_cor7_rhs,
     rhs_k0=_cor7_rhs_k0,
     orbit=lambda p: (p[0] + p[1], p[2]),
@@ -692,7 +703,7 @@ _register(
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-    lhs=_integral_side(lambda p: (-1, 1, _basis_ints(p[:-1], p[-1]))),
+    integrand=lambda p: (-1, 1, _basis_ints(p[:-1], p[-1])),
     rhs=_thm8_rhs,
     rhs_k0=_thm8_rhs_k0,
     orbit=_thm8_orbit,
@@ -709,8 +720,7 @@ _register(
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
     max_index=lambda b: b["s"] * b["n"],
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
-    lhs=_integral_side(
-        lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1])))),
+    integrand=lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1]))),
     rhs=_cor9_rhs,
     rhs_k0=_cor9_rhs_k0,
     orbit=lambda p: (sum(p[:-1]), len(p) - 1, p[-1]),
@@ -961,7 +971,7 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
     a = euler_poly_q(n).invert_q()(-1) * RatFunc((-1) ** n)
     b = q * euler_poly_q(n)(2)
     c = 2 + _ONE_OVER_Q * euler_number_q(n)
-    d = _reduce_moments(-1, 0, _binomial_power(1, -1, n))
+    d = _reduce_integer(*REGISTRY["thm3_integral"].integrand((n,)))
     return a, b, c, d
 
 

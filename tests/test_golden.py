@@ -57,6 +57,11 @@ DIGEST_CASES = {
                           "--n-max", "8"],
     "verify_thm6_cor7_n16": ["verify", "--id", "thm6", "--id", "cor7",
                              "--n-max", "16", "--m-max", "16", "--k-max", "16"],
+    # left sides that share one primitive row up to content and q-shift
+    "verify_eq14_thm4_cor5_n24": ["verify", "--id", "eq14", "--id", "thm4",
+                                  "--id", "cor5", "--n-max", "24", "--k-max", "24"],
+    "verify_eq2_m12_n60": ["verify", "--id", "eq2", "--m-max", "12",
+                           "--n-max", "60"],
 }
 
 

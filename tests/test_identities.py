@@ -157,6 +157,23 @@ def test_integral_side_is_its_integrand_reduced(tag):
         assert REGISTRY[tag].lhs(params) == expected, params
 
 
+#: The identities with an integral left side.
+INTEGRAL_TAGS = {"eq2_symbolic", "thm2_value_at_two", "thm3_integral",
+                 "eq14_bernstein_moment", "thm4", "cor5", "thm6", "cor7", "thm8", "cor9"}
+
+
+def test_integral_sides_are_their_registry_integrands_reduced():
+    assert {tag for tag, identity in REGISTRY.items()
+            if identity.integrand is not None} == INTEGRAL_TAGS
+    ranges = default_ranges(n_max=3, m_max=3, k_max=3, s_max=3)
+    for tag in INTEGRAL_TAGS:
+        identity = REGISTRY[tag]
+        for params in identity.enumerate_params(ranges[tag]):
+            qsign, qshift, ints = identity.integrand(params)
+            expected = moment_reduce(IntegrandExpr(qsign, qshift, XPoly(ints)))
+            assert identity.lhs(params) == expected, (tag, params)
+
+
 #: Each corollary's sum_j C(N-sk, j) (-1)^j E_{j+sk}(1/q), read off the
 #: paper: params -> (N, sk), the sum of the degrees and s k.
 COR_SUMS = {
@@ -541,9 +558,11 @@ def test_suite_orbits_match_fresh_verification(monkeypatch, caps):
     report = run_suite(default_ranges(**caps))
     monkeypatch.undo()
 
-    # the sums of thm6 and thm8 are cached by argument; start them afresh
+    # the sums of thm6 and thm8 and the primitive reductions of the left
+    # sides are cached by argument; start them afresh
     identities._thm6_sum.cache_clear()
     identities._thm8_sum.cache_clear()
+    identities._reduce_primitive.cache_clear()
 
     # every recorded result, verified once per orbit, is what a bare
     # verify_identity computes afresh at the tuple's own params
@@ -609,6 +628,73 @@ def test_cor9_tuples_with_one_sum_share_one_lhs_call(monkeypatch):
     shared = [(1, 3, 1), (3, 1, 1), (2, 2, 1)]
     assert all(lhs[params] is lhs[shared[0]] for params in shared)
     assert lhs[shared[0]] == _paper_moment_sum(4, 2)
+
+
+def _primitive_reductions(monkeypatch, ranges):
+    """Run the suite from a cold reduction cache; count each reduction made."""
+    calls = Counter()
+    reduce = identities._reduce_moments
+
+    def counted(qsign, qshift, coeffs):
+        calls[qsign, qshift, tuple(coeffs)] += 1
+        return reduce(qsign, qshift, coeffs)
+
+    monkeypatch.setattr(identities, "_reduce_moments", counted)
+    identities._reduce_primitive.cache_clear()
+    report = run_suite(ranges)
+    identities._reduce_primitive.cache_clear()
+    assert report.failed == 0
+    return calls
+
+
+def _bernstein_row(k, total):
+    """x^k (1-x)^(total-k) with its last coefficient made positive."""
+    return (0,) * k + tuple((-1) ** (total - k) * c
+                            for c in _binomial_power(1, -1, total - k))
+
+
+def test_thm6_and_cor7_reduce_each_primitive_row_once(monkeypatch):
+    bounds = {"n": 3, "m": 3, "k": 2}
+    calls = _primitive_reductions(monkeypatch, {"thm6": bounds, "cor7": bounds})
+    # B_{k,n} B_{k,m} = C(n,k) C(m,k) x^2k (1-x)^(n+m-2k), and cor7 reduces
+    # the same row: one reduction per (n+m, k), the exploratory n = m = k
+    # tuples included
+    keys = {(n + m, k) for n, m, k in REGISTRY["thm6"].enumerate_params(bounds)}
+    assert calls == {(-1, 0, _bernstein_row(2 * k, total)): 1 for total, k in keys}
+
+
+def test_thm4_and_cor5_reduce_each_primitive_row_once(monkeypatch):
+    bounds = {"n": 4, "k": 4}
+    calls = _primitive_reductions(monkeypatch, {"thm4": bounds, "cor5": bounds})
+    # thm4 reduces C(n,k) x^k (1-x)^(n-k) against q^(1-x), cor5 the same
+    # row against q^-x: one reduction per (n, k), the exploratory k = n
+    # tuples included
+    grid = REGISTRY["thm4"].enumerate_params(bounds)
+    assert calls == {(-1, 0, _bernstein_row(k, n)): 1 for n, k in grid}
+
+
+def test_closed_forms_never_read_the_reduction_cache(monkeypatch):
+    class CacheRead(Exception):
+        pass
+
+    def refuse(qsign, row):
+        raise CacheRead(qsign, row)
+
+    monkeypatch.setattr(identities, "_reduce_primitive", refuse)
+    identities._thm6_sum.cache_clear()
+    identities._thm8_sum.cache_clear()
+    with pytest.raises(CacheRead):
+        REGISTRY["thm4"].lhs((2, 1))
+    ranges = default_ranges(n_max=3, m_max=3, k_max=2, s_max=3)
+    evaluated = 0
+    for tag, identity in REGISTRY.items():
+        for params in identity.enumerate_params(ranges[tag]):
+            if identity.admissible(params):
+                identity.closed_form(params)
+                if identity.rhs_k0 is not None and params[-1] == 0:
+                    identity.rhs(params)
+                evaluated += 1
+    assert evaluated > 0
 
 
 def test_orbit_shared_failure_keeps_each_tuples_params(monkeypatch):
@@ -734,13 +820,13 @@ def test_identity_defaults_and_field_order():
     bounds = (("n", "n", 2),)
     bare = Identity("t", "d", bounds, _side, _side)
     assert bare.admissible((5,)) is True
-    assert bare.rhs_k0 is None and bare.max_index is None
+    assert bare.rhs_k0 is None and bare.max_index is None and bare.integrand is None
     assert bare.orbit((1, 2)) == (1, 2)
     assert bare == Identity(tag="t", description="d", bounds=bounds, lhs=_side, rhs=_side)
-    fields = ("t", "d", bounds, _side, abs, callable, len, max, sorted)
+    fields = ("t", "d", bounds, _side, abs, callable, len, max, sorted, min)
     full = Identity(*fields)
     assert (full.tag, full.description, full.bounds, full.lhs, full.rhs, full.admissible,
-            full.rhs_k0, full.max_index, full.orbit) == fields
+            full.rhs_k0, full.max_index, full.orbit, full.integrand) == fields
 
 
 def test_frozen_records_refuse_assignment():
