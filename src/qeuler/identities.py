@@ -62,14 +62,13 @@ Each entry also states which tuples have the same two sides: its
 thm8 read their degrees as a multiset; cor7 and cor9 read only the
 degree sum, s and k; and at k = 0 every factor B_{0,n} is (1-x)^n, so
 thm6 and thm8 read only the degree sum.  Within one ``run_suite`` call
-each orbit is verified once, at its first tuple, and every other tuple
-of it is recorded with its own params and the first tuple's sides.  The
-sums of thm6 and thm8, which distinct orbits share, are pure functions
-of (n+m, k) and (sum n_i, s, k) and are cached by argument for the
-process, like the q-Euler values they read and bounded by the same cap;
-scalar prefactors such as prod C(n_i, k) stay outside them.  The rows
-of the primitive reductions have degree at most that cap, but eq2's
-uncapped nshift adds one entry per (m, nshift).
+each orbit is verified once, at its first tuple, into the run's one
+record of its sides.  The sums of thm6 and thm8, which distinct orbits
+share, are pure functions of (n+m, k) and (sum n_i, s, k) and are cached
+by argument for the process, like the q-Euler values they read and
+bounded by the same cap; scalar prefactors such as prod C(n_i, k) stay
+outside them.  The rows of the primitive reductions have degree at most
+that cap, but eq2's uncapped nshift adds one entry per (m, nshift).
 ``run_suite`` and a bare ``verify_identity`` compute through the same
 functions.  Two sides are compared by subtracting only when their
 canonical forms differ.
@@ -216,7 +215,8 @@ def _reduce_moments(qsign: int, qshift: int, coeffs: Sequence[object]) -> RatFun
 def _reduce_integer(qsign: int, qshift: int, ints: Sequence[int]) -> RatFunc:
     """The reduced integral of an integer integrand (see the module docstring)."""
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-    total = content * _reduce_primitive(qsign, tuple(c // content for c in ints))
+    total = _reduce_primitive(qsign, tuple(c // content for c in ints))
+    total = total if content == 1 else content * total
     return q**qshift * total if qshift else total
 
 
@@ -793,9 +793,12 @@ class SuiteReport(_Record):
 
     ``cases`` counts admissible tuples actually verified (including
     cross-checks); ``skipped`` counts side-condition violations inside
-    the requested bounds.  ``case_log`` records (tag, params, status)
-    in execution order, which is deterministic for fixed ranges.  Each
-    list left out starts empty and belongs to this report alone.
+    the requested bounds.  ``record(result, params)`` logs (tag, params,
+    status) in ``case_log``, in execution order (deterministic for fixed
+    ranges), for a tuple ``params`` of ``result``'s orbit (by default its
+    own); ``failures`` holds each failing tuple at its params, with the
+    orbit's sides.  Each list left out starts empty and belongs to this
+    report alone.
     """
 
     __slots__ = ("cases", "passed", "failed", "skipped", "failures", "case_log",
@@ -824,15 +827,19 @@ class SuiteReport(_Record):
         self.exploratory = [] if exploratory is None else exploratory
         self.branch_notes = [] if branch_notes is None else branch_notes
 
-    def record(self, result: VerificationResult) -> None:
+    def record(self, result: VerificationResult, params: Params | None = None) -> None:
+        params = result.params if params is None else params
         self.cases += 1
         if result.equal:
             self.passed += 1
-            self.case_log.append((result.identity, result.params, "pass"))
+            self.case_log.append((result.identity, params, "pass"))
         else:
             self.failed += 1
+            if params != result.params:  # a later tuple of the orbit
+                result = VerificationResult(result.identity, params, result.lhs,
+                                            result.rhs, False, result.difference)
             self.failures.append(result)
-            self.case_log.append((result.identity, result.params, "fail"))
+            self.case_log.append((result.identity, params, "fail"))
 
     def to_json(self) -> dict:
         return {
@@ -910,10 +917,7 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
 
 def _verify_orbit(orbits: dict, key: tuple[str, Hashable],
                   params: Params) -> VerificationResult:
-    """The result of the orbit ``key`` = (tag, orbit key) in ``orbits``.
-
-    Verified at ``params`` when the run meets the key first.
-    """
+    """The result of orbit ``key`` (tag, orbit key), verified at ``params`` if new."""
     first = orbits.get(key)
     if first is None:
         first = orbits[key] = verify_identity(key[0], params)
@@ -922,7 +926,6 @@ def _verify_orbit(orbits: dict, key: tuple[str, Hashable],
 
 def _run_cases(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
     report = SuiteReport()
-    results: dict[tuple[str, Params], VerificationResult] = {}
     orbits: dict[tuple[str, Hashable], VerificationResult] = {}
     coincide: dict[tuple[str, Hashable], bool] = {}
     for tag, identity in REGISTRY.items():
@@ -935,16 +938,12 @@ def _run_cases(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
                 report.exploratory.append(_exploratory_eval(identity, params))
                 continue
             key = (tag, identity.orbit(params))
-            first = _verify_orbit(orbits, key, params)
-            result = first if first.params == params else VerificationResult(
-                tag, params, first.lhs, first.rhs, first.equal, first.difference)
-            results[tag, params] = result
-            report.record(result)
+            report.record(_verify_orbit(orbits, key, params), params)
             if identity.rhs_k0 is not None and params[-1] == 0:
                 if key not in coincide:
-                    coincide[key] = identity.rhs(params) == result.rhs
+                    coincide[key] = identity.rhs(params) == orbits[key].rhs
                 report.branch_notes.append(BranchNote(tag, params, coincide[key]))
-    for result in _cross_check_results(ranges, results, orbits):
+    for result in _cross_check_results(ranges, report.case_log, orbits):
         report.record(result)
     return report
 
@@ -977,14 +976,15 @@ def reflection_chain(n: int) -> tuple[RatFunc, ...]:
 
 def _cross_check_results(
     ranges: Mapping[str, Mapping[str, int]],
-    results: Mapping[tuple[str, Params], VerificationResult],
+    case_log: Sequence[tuple[str, Params, str]],
     orbits: dict,
 ) -> Iterator[VerificationResult]:
-    """The xcheck_* cases, read off ``results``: (tag, params) -> suite case.
+    """The xcheck_* cases over the tuples of ``case_log``, read off ``orbits``.
 
     Every check but the reflection chain compares recorded values.  A
     base tuple of an orbit the run has not met is verified here once,
-    for the check, and is not counted as a case.
+    for the check, and is not counted as a case.  Each tuple list is
+    taken whole first, as ``case_log`` grows with the checks.
     """
     def recorded(tag: str, params: Params) -> VerificationResult:
         return _verify_orbit(orbits, (tag, REGISTRY[tag].orbit(params)), params)
@@ -999,9 +999,9 @@ def _cross_check_results(
 
     if "eq14_bernstein_moment" in ranges:
         # the q -> 1/q swap carries the eq14 formula onto the thm4 one
-        for params in [p for tag, p in results if tag == "thm4"]:
+        for params in [p for tag, p, _ in case_log if tag == "thm4"]:
             swapped = q * recorded("eq14_bernstein_moment", params).rhs.invert_q()
-            target = results["thm4", params].rhs
+            target = recorded("thm4", params).rhs
             diff = _difference(swapped, target)
             yield VerificationResult(
                 "xcheck_eq14_thm4_swap", params, swapped, target, diff.is_zero, diff
@@ -1015,7 +1015,7 @@ def _cross_check_results(
     ):
         if base_tag not in ranges:
             continue
-        for params in [p for tag, p in results if tag == multi_tag and len(p) == s + 1]:
-            multi, base = results[multi_tag, params], recorded(base_tag, params)
+        for params in [p for tag, p, _ in case_log if tag == multi_tag and len(p) == s + 1]:
+            multi, base = recorded(multi_tag, params), recorded(base_tag, params)
             equal, diff = _first_difference((multi.lhs, base.lhs), (multi.rhs, base.rhs))
             yield VerificationResult(xtag, params, multi.rhs, base.rhs, equal, diff)

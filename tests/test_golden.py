@@ -55,6 +55,9 @@ DIGEST_CASES = {
     "verify_all_n12": ["verify", "--all", "--n-max", "12"],
     "verify_thm8_s4_n8": ["verify", "--id", "thm8", "--s-max", "4",
                           "--n-max", "8"],
+    # the case log lists every ordered tuple of every orbit
+    "verify_thm8_s4_n8_csv": ["verify", "--id", "thm8", "--s-max", "4",
+                              "--n-max", "8", "--format", "csv"],
     "verify_thm6_cor7_n16": ["verify", "--id", "thm6", "--id", "cor7",
                              "--n-max", "16", "--m-max", "16", "--k-max", "16"],
     # left sides that share one primitive row up to content and q-shift

@@ -550,9 +550,9 @@ def test_suite_orbits_match_fresh_verification(monkeypatch, caps):
     recorded = []
     record = SuiteReport.record
 
-    def keep(self, result):
-        recorded.append(result)
-        record(self, result)
+    def keep(self, result, params=None):
+        recorded.append((result, result.params if params is None else params))
+        record(self, result, params)
 
     monkeypatch.setattr(SuiteReport, "record", keep)
     report = run_suite(default_ranges(**caps))
@@ -567,11 +567,11 @@ def test_suite_orbits_match_fresh_verification(monkeypatch, caps):
     # every recorded result, verified once per orbit, is what a bare
     # verify_identity computes afresh at the tuple's own params
     checked = 0
-    for result in recorded:
+    for result, params in recorded:
         if result.identity in REGISTRY:
-            fresh = verify_identity(result.identity, result.params)
+            fresh = verify_identity(result.identity, params)
             assert (fresh.lhs, fresh.rhs, fresh.equal, fresh.difference) == (
-                result.lhs, result.rhs, result.equal, result.difference), result.params
+                result.lhs, result.rhs, result.equal, result.difference), params
             checked += 1
     assert checked == sum(1 for tag, _, _ in report.case_log if tag in REGISTRY)
     for entry in report.exploratory:
@@ -593,9 +593,9 @@ def _orbit_lhs_calls(monkeypatch, tag, bounds):
     identity, calls, recorded = REGISTRY[tag], Counter(), {}
     record = SuiteReport.record
 
-    def keep(self, result):
-        recorded[result.params] = result.lhs
-        record(self, result)
+    def keep(self, result, params=None):
+        recorded[result.params if params is None else params] = result.lhs
+        record(self, result, params)
 
     def counted(params, side=identity.lhs):
         if identity.admissible(params):
@@ -710,6 +710,42 @@ def test_orbit_shared_failure_keeps_each_tuples_params(monkeypatch):
     assert [result.params for result in report.failures] == grid
     assert report.case_log == [("thm6", params, "fail") for params in grid]
     assert report.failed == report.cases == len(grid)
+
+
+def test_suite_builds_one_result_per_orbit(monkeypatch):
+    built = []
+
+    class Counted(VerificationResult):
+        def __init__(self, *args, **kwargs):
+            built.append(args[:2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "VerificationResult", Counted)
+    thm8 = REGISTRY["thm8"]
+    # no base identity is selected, so no cross-check runs
+    report = run_suite(default_ranges(ids=["thm8"], n_max=3, s_max=3))
+    assert report.failed == 0
+    orbits = {thm8.orbit(params) for _, params, _ in report.case_log}
+    assert len(built) == len(orbits) < len(report.case_log)
+    assert {thm8.orbit(params) for _, params in built} == orbits
+
+
+def test_record_logs_a_tuple_against_its_orbits_result():
+    zero = RatFunc(0)
+    passing = VerificationResult("thm8", (1, 2, 0), q, q, True, zero)
+    failing = VerificationResult("thm8", (1, 2, 1), q, q + 1, False, RatFunc(-1))
+    report = SuiteReport()
+    report.record(passing, (2, 1, 0))
+    report.record(passing)
+    assert report.failures == []
+    report.record(failing, (2, 1, 1))
+    report.record(failing)
+    assert report.failures == [
+        VerificationResult("thm8", (2, 1, 1), q, q + 1, False, RatFunc(-1)), failing]
+    assert report.failures[1] is failing
+    assert report.case_log == [("thm8", (2, 1, 0), "pass"), ("thm8", (1, 2, 0), "pass"),
+                               ("thm8", (2, 1, 1), "fail"), ("thm8", (1, 2, 1), "fail")]
+    assert (report.cases, report.passed, report.failed) == (4, 2, 2)
 
 
 def test_suite_divides_nothing_once_the_caches_are_warm(monkeypatch):
