@@ -228,25 +228,22 @@ def _reduce_primitive(qsign: int, row: tuple[int, ...]) -> RatFunc:
 class VerificationResult(_Record):
     """Outcome of one identity check: both sides, their difference, equality.
 
-    ``equal`` is True exactly when ``difference`` is zero.  For numeric
-    (residue-based) checks, ``valuation`` carries the p-adic valuation
-    of the difference, capped at the working precision.
+    ``equal`` is True exactly when ``difference`` is zero.  The sides are
+    Q(q) values (``verify_identity``) or residues mod p^M
+    (``padic.integral_check_numeric``, whose difference has a p-adic
+    valuation of at least min(N, M) for a true identity).
     """
 
-    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "difference", "valuation")
-    _defaults = {"valuation": None}
+    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "difference")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "id": self.identity,
             "params": list(self.params),
             "lhs": self.lhs.to_json(),
             "rhs": self.rhs.to_json(),
             "diff": self.difference.to_json(),
         }
-        if self.valuation is not None:
-            out["valuation"] = self.valuation
-        return out
 
 
 # -- identity registry -------------------------------------------------------
@@ -727,16 +724,22 @@ _register(
 )
 
 
+def _admitted(tag: str, params: Sequence[int]) -> tuple[Identity, Params]:
+    """The identity and params tuple of a case, refused as ``verify_identity`` says."""
+    identity = _lookup(tag)
+    params = _check_params(identity, tuple(params))
+    if not identity.admissible(params):
+        raise SideConditionError(f"{tag} side condition fails at {params}")
+    return identity, params
+
+
 def verify_identity(tag: str, params: Sequence[int]) -> VerificationResult:
     """Check one registry identity at one parameter tuple, exactly.
 
     Raises SideConditionError when the tuple violates the identity's
     hypothesis and ValueError for malformed parameters or unknown tags.
     """
-    identity = _lookup(tag)
-    params = _check_params(identity, tuple(params))
-    if not identity.admissible(params):
-        raise SideConditionError(f"{tag} side condition fails at {params}")
+    identity, params = _admitted(tag, params)
     lhs = identity.lhs(params)
     rhs = identity.closed_form(params)
     difference = _difference(lhs, rhs)

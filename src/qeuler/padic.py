@@ -52,6 +52,13 @@ agrees with S_N mod p^N, and v_N >= min(N, M) at every depth.
 Monotonicity is not expected: S_1 can agree with the target to more
 digits than S_2 does, so a valuation sequence may dip while it meets
 the floor at every depth.
+
+``integral_check_numeric`` sums a registry integrand
+q^qshift q^(qsign x) sum_j c_j x^j at x0 = 0: its left side is
+q0^qshift sum_j c_j T_j(N), with base q0 for qsign = 1 and q0^-1 mod p^M
+(also 1 mod p, so the floor holds) for qsign = -1.  Its limit is the
+reduced integral at q0, so a true closed form, evaluated at q0 and
+embedded mod p^M, differs from it by valuation at least min(N, M).
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from fractions import Fraction
 from math import comb
 
 from .euler import _check_cap, euler_number_q
-from .identities import VerificationResult, _Record
+from .identities import VerificationResult, _admitted, _Record
 
 __all__ = [
     "NonUnitError",
@@ -73,7 +80,7 @@ __all__ = [
     "DepthEntry",
     "ConvergenceReport",
     "witt_convergence_check",
-    "shift_identity_check_numeric",
+    "integral_check_numeric",
     "CALIBRATED_SLACK",
 ]
 
@@ -388,38 +395,26 @@ def _convergence_reports(
     ]
 
 
-def shift_identity_check_numeric(
-    m: int, nshift: int, q0: int, p: int, N: int, M: int
+def integral_check_numeric(
+    tag: str, params: Sequence[int], q0: int, p: int, N: int, M: int
 ) -> VerificationResult:
-    """Truncated-sum version of the variable-shift relation, mod p^M.
+    """A registry identity's truncated integrand sum against its closed form at q0.
 
-    LHS: the alternating sum of q0^(y+nshift) (y+nshift)^m.  RHS:
-    (-1)^nshift times the unshifted sum plus twice the alternating
-    boundary sum of q0^l l^m.  Reports the p-adic valuation of the
-    difference, capped at M; both sums share the truncation depth N,
-    and the two sides agree only up to truncation error, so callers
-    should read the valuation, not demand exact equality.
+    See the module docstring: ``equal`` holds once N >= M.  Bad params
+    raise as in ``verify_identity``; a tag with no integrand, ValueError.
     """
-    _check_ints(nshift=nshift)
-    if nshift < 1:
-        raise ValueError("nshift must be at least 1")
-    _check_sum((m,), (nshift, 0), q0, p, N, M)
+    identity, params = _admitted(tag, params)
+    if identity.integrand is None:
+        raise ValueError(f"{tag} has no integrand")
+    qsign, qshift, ints = identity.integrand(params)
+    degree = len(ints) - 1
+    _check_sum((degree,), (0,), q0, p, N, M)
+    _check_cap(degree)
+    rhs = _residue(identity.closed_form(params)(q0), p, M)
     pm = p**M
-    (last,) = deque(_partial_sums(m, (nshift, 0), q0, p, N, M), maxlen=1)
-    shifted, plain = (moments[m] for moments in last)
-    boundary = sum((-1) ** (nshift - 1 - l) * pow(q0, l, pm) * pow(l, m, pm)
-                   for l in range(nshift))
-    sign = 1 if nshift % 2 == 0 else -1
-    rhs = sign * plain + 2 * boundary
-    # the change of variable y -> y + nshift carries a factor q0^nshift
-    lhs = shifted * pow(q0 % pm, nshift, pm)
+    base = q0 if qsign == 1 else pow(q0, -1, pm)
+    ((moments,),) = deque(_partial_sums(degree, (0,), base, p, N, M), maxlen=1)
+    lhs = pow(q0, qshift, pm) * sum(c * t for c, t in zip(ints, moments)) % pm
     diff = PAdic._checked(p, M, lhs - rhs)
-    return VerificationResult(
-        identity="eq2_shift_numeric",
-        params=(m, nshift, q0, p, N, M),
-        lhs=PAdic._checked(p, M, lhs),
-        rhs=PAdic._checked(p, M, rhs),
-        equal=diff.is_zero,
-        difference=diff,
-        valuation=diff.valuation(),
-    )
+    return VerificationResult(tag, params, PAdic._checked(p, M, lhs),
+                              PAdic._checked(p, M, rhs), diff.is_zero, diff)

@@ -837,10 +837,10 @@ def test_verification_results_with_q_sides_round_trip():
 def test_records_build_by_position_and_keyword_with_defaults():
     zero = RatFunc(0)
     result = VerificationResult("t", (1,), q, q, True, zero)
-    assert result.valuation is None
     assert result == VerificationResult(identity="t", params=(1,), lhs=q, rhs=q,
-                                        equal=True, difference=zero, valuation=None)
-    assert VerificationResult("t", (1,), q, q, True, zero, 3).valuation == 3
+                                        equal=True, difference=zero)
+    with pytest.raises(TypeError, match="takes 6 values"):
+        VerificationResult("t", (1,), q, q, True, zero, 3)
     record = ExploratoryRecord("t", (0,), False, None)
     assert record.note == ""
     assert record == ExploratoryRecord(identity="t", params=(0,), computed=False,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qeuler.cli import main
 from qeuler.euler import IndexCapError, euler_number_q, euler_poly_q
+from qeuler.identities import REGISTRY, Identity, SideConditionError, default_ranges
 from qeuler.padic import (
     _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
@@ -18,9 +19,9 @@ from qeuler.padic import (
     NonUnitError,
     PAdic,
     fermionic_partial_sum,
+    integral_check_numeric,
     is_odd_prime,
     padic_from_rational,
-    shift_identity_check_numeric,
     witt_convergence_check,
     _convergence_reports,
     _valuation,
@@ -105,7 +106,7 @@ def test_every_entry_point_refuses_a_non_int_p_or_M(p, M):
         lambda: padic_from_rational(Fraction(1, 2), p, M),
         lambda: fermionic_partial_sum(1, 0, 4, p, 2, M),
         lambda: witt_convergence_check(1, 0, p, 4, M, 2),
-        lambda: shift_identity_check_numeric(1, 1, 4, p, 2, M),
+        lambda: integral_check_numeric("eq2_symbolic", (1, 1), 4, p, 2, M),
     ]
     for call in entry_points:
         with pytest.raises(TypeError, match="must be an int"):
@@ -121,16 +122,19 @@ def test_every_entry_point_refuses_a_non_int_degree_point_base_or_depth(bad):
             lambda: fermionic_partial_sum(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
             lambda: witt_convergence_check(a["n"], a["x0"], 3, a["q0"], 2, a["depth"]),
             lambda: _convergence_reports((0, a["n"]), (a["x0"],), 3, a["q0"], 2, a["depth"]),
-            # x0 is nshift here
-            lambda: shift_identity_check_numeric(a["n"], a["x0"], a["q0"], 3, a["depth"], 2),
         ]
+        # eq2's m and nshift are identity params, refused below as verify_identity does
+        if name in ("q0", "depth"):
+            entry_points.append(lambda: integral_check_numeric(
+                "eq2_symbolic", (1, 1), a["q0"], 3, a["depth"], 2))
         for call in entry_points:
             with pytest.raises(TypeError, match="must be an int"):
                 call()
     with pytest.raises(TypeError, match="n must be an int, got True"):
         witt_convergence_check(True, False, 3, 4, 3, True)
-    with pytest.raises(TypeError, match="nshift must be an int"):
-        shift_identity_check_numeric(1, bad, 4, 3, 2, 2)
+    for params in ((bad, 1), (1, bad)):
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            integral_check_numeric("eq2_symbolic", params, 4, 3, 2, 2)
 
 
 def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
@@ -152,7 +156,7 @@ def test_primality_is_tested_per_call_not_per_residue(monkeypatch):
     assert set(calls) == {5}
     for N in (2, 8):
         calls.clear()
-        shift_identity_check_numeric(3, 2, 6, 5, N, 6)
+        integral_check_numeric("eq2_symbolic", (3, 2), 6, 5, N, 6)
         assert calls == [5]
 
 
@@ -235,31 +239,31 @@ def test_witt_domain_errors():
 def test_shift_identity_numeric():
     for m in range(4):
         for nshift in (1, 2):
-            result = shift_identity_check_numeric(m, nshift, q0=4, p=3,
-                                                  N=4, M=6)
-            assert result.identity == "eq2_shift_numeric"
-            assert result.params == (m, nshift, 4, 3, 4, 6)
-            assert result.valuation is not None
+            result = integral_check_numeric("eq2_symbolic", (m, nshift), q0=4, p=3,
+                                            N=4, M=6)
+            assert result.identity == "eq2_symbolic"
+            assert result.params == (m, nshift)
+            valuation = result.difference.valuation()
             # truncation error carries at least p^N
-            assert result.valuation >= min(6, 4 - CALIBRATED_SLACK)
-            assert result.equal == (result.valuation >= 6)
+            assert valuation >= min(6, 4 - CALIBRATED_SLACK)
+            assert result.equal == (valuation >= 6)
     out = result.to_json()
-    assert set(out) == {"id", "params", "lhs", "rhs", "diff", "valuation"}
+    assert set(out) == {"id", "params", "lhs", "rhs", "diff"}
 
 
 def test_shift_identity_numeric_exact_at_full_depth():
-    result = shift_identity_check_numeric(2, 1, q0=4, p=3, N=4, M=3)
+    result = integral_check_numeric("eq2_symbolic", (2, 1), q0=4, p=3, N=4, M=3)
     assert result.equal
-    assert result.valuation == 3
+    assert result.difference.valuation() == 3
 
 
 def test_shift_identity_domain_errors():
+    with pytest.raises(SideConditionError):
+        integral_check_numeric("eq2_symbolic", (1, 0), q0=4, p=3, N=2, M=3)
     with pytest.raises(ValueError):
-        shift_identity_check_numeric(1, 0, q0=4, p=3, N=2, M=3)
+        integral_check_numeric("eq2_symbolic", (-1, 1), q0=4, p=3, N=2, M=3)
     with pytest.raises(ValueError):
-        shift_identity_check_numeric(-1, 1, q0=4, p=3, N=2, M=3)
-    with pytest.raises(ValueError):
-        shift_identity_check_numeric(1, 1, q0=5, p=3, N=2, M=3)
+        integral_check_numeric("eq2_symbolic", (1, 1), q0=5, p=3, N=2, M=3)
 
 
 # -- oracles independent of the block recursion ------------------------------
@@ -409,19 +413,19 @@ def test_shift_identity_numeric_matches_direct_loop():
     for p in ORACLE_PRIMES:
         for q0 in oracle_bases(p):
             for m in range(8):
-                plain = direct_sums(m, 0, q0, p, depth, WIDEST)
+                plain = scalar_qeuler_poly(m, 0, q0)
                 for nshift in (x0 for x0 in ORACLE_X0 if x0 > 0):
                     shifted = direct_sums(m, nshift, q0, p, depth, WIDEST)
                     boundary = sum((-1) ** (nshift - 1 - l) * q0**l * l**m
                                    for l in range(nshift))
+                    exact = (-1) ** nshift * plain + 2 * boundary
                     for M in ORACLE_PRECISIONS:
                         pm = p**M
+                        rhs = exact.numerator * pow(exact.denominator, -1, pm) % pm
                         for N in range(1, depth + 1):
                             lhs = shifted[N - 1] * q0**nshift % pm
-                            rhs = ((-1) ** nshift * plain[N - 1]
-                                   + 2 * boundary) % pm
-                            result = shift_identity_check_numeric(
-                                m, nshift, q0, p, N, M)
+                            result = integral_check_numeric(
+                                "eq2_symbolic", (m, nshift), q0, p, N, M)
                             where = (p, q0, m, nshift, N, M)
                             assert result.lhs.residue == lhs, where
                             assert result.rhs.residue == rhs, where
@@ -515,3 +519,117 @@ def test_records_are_frozen_and_hash_by_value():
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(PAdic(5, 2, 3)) == "PAdic(p=5, M=2, residue=3)"
+
+
+# -- integral identities checked from their registry integrands --------------
+
+INTEGRAL_TAGS = [tag for tag, identity in REGISTRY.items() if identity.integrand is not None]
+#: (p, q0) pairs; -8 = 1 mod 3^2.
+INTEGRAL_BASES = ((5, 6), (3, -8))
+INTEGRAL_PRECISION = 5
+
+
+def integral_cases(tag):
+    """The admissible tuples of tag over the small default grid."""
+    identity = REGISTRY[tag]
+    bounds = default_ranges(n_max=4, m_max=3, k_max=3, s_max=3)[tag]
+    return [params for params in identity.enumerate_params(bounds)
+            if identity.admissible(params)]
+
+
+def test_integral_check_meets_the_floor_on_every_integral_identity():
+    assert len(INTEGRAL_TAGS) == 10
+    M = INTEGRAL_PRECISION
+    for tag in INTEGRAL_TAGS:
+        for params in integral_cases(tag):
+            for p, q0 in INTEGRAL_BASES:
+                for N in range(1, M + 2):
+                    result = integral_check_numeric(tag, params, q0, p, N, M)
+                    where = (tag, params, p, q0, N)
+                    assert (result.identity, result.params) == (tag, params), where
+                    assert result.difference.valuation() >= min(N, M), where
+                    if N >= M:
+                        assert result.equal, where
+
+
+#: One tuple per integral identity, its integrand q^(qshift + qsign x) P(x)
+#: written out here: tag -> (params, qsign, qshift, P).
+DIRECT_INTEGRANDS = {
+    "eq2_symbolic": ((3, 2), 1, 2, lambda y: (y + 2) ** 3),
+    "thm2_value_at_two": ((3,), 1, 1, lambda y: (y + 2) ** 3),
+    "thm3_integral": ((4,), -1, 0, lambda y: (1 - y) ** 4),
+    "eq14_bernstein_moment": ((4, 1), 1, 0, lambda y: 4 * y * (1 - y) ** 3),
+    "thm4": ((4, 2), -1, 1, lambda y: 6 * y**2 * (1 - y) ** 2),
+    "cor5": ((4, 1), -1, 0, lambda y: y * (1 - y) ** 3),
+    "thm6": ((2, 3, 1), -1, 1, lambda y: 2 * y * (1 - y) * 3 * y * (1 - y) ** 2),
+    "cor7": ((2, 3, 1), -1, 0, lambda y: y**2 * (1 - y) ** 3),
+    "thm8": ((2, 1, 2, 1), -1, 1, lambda y: 2 * y * (1 - y) * y * 2 * y * (1 - y)),
+    "cor9": ((2, 1, 2, 1), -1, 0, lambda y: y**3 * (1 - y) ** 2),
+}
+
+
+def test_integral_check_left_side_matches_direct_loop():
+    assert set(DIRECT_INTEGRANDS) == set(INTEGRAL_TAGS)
+    M = INTEGRAL_PRECISION
+    for tag, (params, qsign, qshift, P) in DIRECT_INTEGRANDS.items():
+        for p, q0 in INTEGRAL_BASES:
+            pm = p**M
+            for N in range(1, 4):
+                direct = sum((-1) ** y * pow(q0, qshift + qsign * y, pm) * P(y)
+                             for y in range(p**N)) % pm
+                result = integral_check_numeric(tag, params, q0, p, N, M)
+                assert result.lhs.residue == direct, (tag, p, q0, N)
+
+
+def test_integral_check_catches_a_sign_flipped_closed_form(monkeypatch):
+    identity = REGISTRY["thm4"]
+
+    def flipped(params):
+        # (-1)^j in place of (-1)^(k-j): the k > 0 form times (-1)^k
+        return (-1) ** params[-1] * identity.rhs(params)
+
+    patched = Identity(*(flipped if name == "rhs" else getattr(identity, name)
+                         for name in Identity.__slots__))
+    monkeypatch.setitem(REGISTRY, "thm4", patched)
+    M = INTEGRAL_PRECISION
+    differing = 0
+    for params in integral_cases("thm4"):
+        differs = patched.closed_form(params) != identity.closed_form(params)
+        differing += differs
+        for p, q0 in INTEGRAL_BASES:
+            result = integral_check_numeric("thm4", params, q0, p, M, M)
+            where = (params, p, q0)
+            if differs:
+                assert result.difference.valuation() < M, where
+            else:
+                assert result.equal, where
+    assert differing == 4  # the odd k: (2, 1), (3, 1), (4, 1), (4, 3)
+
+
+def test_integral_check_refuses_tags_without_integrand_and_bad_tuples():
+    with pytest.raises(ValueError, match="unknown identity"):
+        integral_check_numeric("eq99", (1,), 6, 5, 2, 2)
+    for tag, params in (("eq15_symmetry", (2, 1)), ("thm1_reflection", (2,)),
+                        ("eq9_frobenius", (2,))):
+        with pytest.raises(ValueError, match="has no integrand"):
+            integral_check_numeric(tag, params, 6, 5, 2, 2)
+    with pytest.raises(SideConditionError):
+        integral_check_numeric("thm4", (2, 2), 6, 5, 2, 2)
+
+
+def test_integral_check_refuses_a_degree_above_the_cap_before_any_work(monkeypatch):
+    import qeuler.identities as identities
+    import qeuler.padic as padic
+
+    def refuse(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(identities, "euler_number_q", refuse)
+    monkeypatch.setattr(padic, "euler_number_q", refuse)
+    monkeypatch.setattr(padic, "_partial_sums", refuse)
+    with pytest.raises(AssertionError, match="work began"):
+        integral_check_numeric("thm4", (3, 1), 6, 5, 2, 2)
+    for tag, params in (("eq2_symbolic", (129, 1)), ("thm4", (129, 1)),
+                        ("thm8", (50, 50, 50, 0)), ("cor9", (43, 43, 43, 1))):
+        with pytest.raises(IndexCapError):
+            integral_check_numeric(tag, params, 6, 5, 2, 2)
