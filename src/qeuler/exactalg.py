@@ -29,22 +29,24 @@ Representation conventions used throughout the package:
   integer numerators are lifted to the common denominator by shifts and
   multiplications by 1+q, combined, and then q is cancelled while the
   constant term is 0 and 1+q, by synthetic division, while the
-  alternating coefficient sum is 0.  Every other operation, ``/``
-  included, and any operand with another denominator, goes through
-  ``RatFunc(num, den)``, whose ``poly_gcd`` canonicalisation then
-  detects the form of its result once.  The package's own quotients,
-  1/q, 2/(1+q) and each Frobenius scale 1/(u-1), are built once.
+  alternating coefficient sum is 0.  A product by a monomial
+  c*q**j / (e*q**a), such as q or 1/q, strips no 1+q: it only cancels q
+  and shifts exponents.  Every other operation, ``/`` included, and any
+  operand with another denominator, goes through ``RatFunc(num, den)``,
+  whose ``poly_gcd`` canonicalisation then detects the form of its
+  result once.  The package's own quotients, 1/q, 2/(1+q) and each
+  Frobenius scale 1/(u-1), are built once.
 * ``_binomial_power`` expands every two-term power (c0 + c1*t)**n by the
   binomial theorem, cached: q**a * (1+q)**b, Bernstein rows, integrands
   in x and the shifts x -> a*x + b of ``XPoly.compose_affine``.
 * ``lincomb(coeffs, values)`` is the n-ary sum of c_i * v_i, for the
   integer combinations of q-Euler numbers that every identity is made
-  of.  When every coefficient is an int and every value carries a form
-  it lifts all the integer numerators to the common q**A * (1+q)**B in
-  one Horner pass over the (1+q) exponents, in ascending order, with
-  each q-shift a plain offset, and strips the sum once; ``+`` on two
-  form values is its two-term case.  Any other term, a Q(q)
-  coefficient included, makes it fall back to ``+`` and ``*``.
+  of.  In one pass over the pairs, while each coefficient is an int and
+  each value carries a form, it lifts the integer numerators in place
+  to the common q**A * (1+q)**B, one Horner pass over the ascending
+  (1+q) exponents with each q-shift a plain offset, and strips the sum
+  once; ``+`` on two form values is its two-term case.  From the first
+  other term on, a Q(q) coefficient included, it goes on by ``+``, ``*``.
 * ``XPoly`` is a dense polynomial in a second variable x whose
   coefficients are RatFunc values, with the same trailing-zero
   convention as PolyQ.
@@ -59,6 +61,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -533,6 +536,7 @@ def _ratfunc(num: PolyQ, den: PolyQ, form: tuple[int, int] | None) -> RatFunc:
 #: One term of a sum over forms: (ints, mult, den, a, b) is the value
 #: mult * ints / (den * q**a * (1+q)**b), with den > 0.
 _FormTerm = tuple[Sequence[int], int, int, int, int]
+_FORM_B = operator.itemgetter(4)
 
 
 def _sum_over_forms(terms: list[_FormTerm]) -> RatFunc:
@@ -540,25 +544,35 @@ def _sum_over_forms(terms: list[_FormTerm]) -> RatFunc:
 
     Every numerator is lifted to the common q**A * (1+q)**B in one Horner
     pass over the (1+q) exponents: the terms are taken in ascending b,
-    the running sum is multiplied by 1+q (one pass of shifted additions)
-    as b rises, and each term is added at the offset A - a, so a factor q
-    costs nothing.  The sum is stripped once, by ``_over_form``.
+    the running sum is multiplied by 1+q in place (a zero appended, then
+    each entry gains its lower neighbour, from the top down) as b rises,
+    and each term is added in place at the offset A - a, so a factor q
+    costs nothing.  The common integer denominator is 1, with no lcm,
+    when every term's is.  The sum is stripped once, by ``_over_form``.
     """
-    terms.sort(key=lambda term: term[4])
-    a_top = max(term[3] for term in terms)
-    scale = math.lcm(*(term[2] for term in terms))
+    terms.sort(key=_FORM_B)
+    a_top, scale = 0, 1
+    for _, _, den, a, _ in terms:
+        if a > a_top:
+            a_top = a
+        if den != 1:
+            scale = math.lcm(scale, den)
     acc: list[int] = []
     level = terms[0][4]
     for ints, mult, den, a, b in terms:
         for _ in range(b - level):
-            acc = list(map(operator.add, acc + [0], [0] + acc))
+            acc.append(0)
+            for i in range(len(acc) - 1, 0, -1):
+                acc[i] += acc[i - 1]
         level = b
-        mult *= scale // den
+        if den != scale:
+            mult *= scale // den
         start = a_top - a
-        end = start + len(ints)
-        if len(acc) < end:
-            acc.extend([0] * (end - len(acc)))
-        acc[start:end] = [s + mult * c for s, c in zip(acc[start:end], ints)]
+        missing = start + len(ints) - len(acc)
+        if missing > 0:
+            acc.extend([0] * missing)
+        for i, c in enumerate(ints, start):
+            acc[i] += mult * c
     return _over_form(acc, scale, a_top, level)
 
 
@@ -566,26 +580,26 @@ def lincomb(coeffs: Iterable[object], values: Iterable[object]) -> RatFunc:
     """The exact sum of c * v over the pairs of coeffs and values.
 
     Each coefficient is an int or an element of Q(q), each value an
-    element of Q(q); both sequences have the same length.  When every
-    nonzero term has an int coefficient and a value with denominator
-    q**a * (1+q)**b the sum is built by ``_sum_over_forms``, one lift and
-    one strip in all; otherwise it is the left fold of ``+`` and ``*``.
-    The result is the same either way.
+    element of Q(q); both sequences have the same length.  The pairs are
+    read once: while each has an int coefficient and a RatFunc value with
+    denominator q**a * (1+q)**b its nonzero term is kept for
+    ``_sum_over_forms``, one lift and one strip in all.  From the first
+    other pair on, the sum of the terms kept so far is extended by the
+    left fold of ``+`` and ``*``.  The result is the same either way.
     """
-    pairs = [(c if type(c) is int else _as_ratfunc(c), _as_ratfunc(v))
-             for c, v in zip(coeffs, values, strict=True)]
     terms: list[_FormTerm] = []
+    pairs = zip(coeffs, values, strict=True)
+    rest: Iterable[tuple[object, object]] = ()
     for c, v in pairs:
-        if not c or v.is_zero:
-            continue
-        if type(c) is not int or v._form is None:
+        if type(c) is not int or type(v) is not RatFunc or v._form is None:
+            rest = chain([(c, v)], pairs)
             break
-        terms.append((v.num._ints, c, v.num._den, *v._form))
-    else:
-        return _sum_over_forms(terms) if terms else _ZERO
-    acc = _ZERO
-    for c, v in pairs:
-        acc = acc + c * v
+        num = v.num
+        if c and num._ints:
+            terms.append((num._ints, c, num._den, *v._form))
+    acc = _sum_over_forms(terms) if terms else _ZERO
+    for c, v in rest:
+        acc = acc + (c if type(c) is int else _as_ratfunc(c)) * _as_ratfunc(v)
     return acc
 
 
@@ -622,7 +636,9 @@ class RatFunc(_Exact):
 
     The private ``_form`` is (a, b) when the denominator is
     q**a * (1+q)**b and None otherwise; it selects the gcd-free
-    arithmetic and takes no part in equality or hashing.
+    arithmetic and takes no part in equality or hashing.  A product with
+    a form value c*q**j / (e*q**a), one nonzero coefficient over b = 0,
+    only shifts exponents (``_times_monomial``).
     """
 
     __slots__ = ("num", "den", "_form")
@@ -721,6 +737,10 @@ class RatFunc(_Exact):
         a, b = self.num, other.num
         if a.is_zero or b.is_zero:
             return _ZERO
+        if not g[1] and b._ints.count(0) == len(b._ints) - 1:
+            return _times_monomial(a, f, b, g[0])
+        if not f[1] and a._ints.count(0) == len(a._ints) - 1:
+            return _times_monomial(b, g, a, f[0])
         return _over_form(_int_mul(a._ints, b._ints), a._den * b._den, f[0] + g[0], f[1] + g[1])
 
     __rmul__ = __mul__
@@ -798,6 +818,24 @@ class RatFunc(_Exact):
 
 
 _ZERO = _ratfunc(PolyQ(), _ONE_DEN, (0, 0))
+
+
+def _times_monomial(num: PolyQ, form: tuple[int, int], mono: PolyQ, a: int) -> RatFunc:
+    """num / (q**form[0] * (1+q)**form[1]) times the monomial mono / q**a.
+
+    num/den is canonical, so it has no factor 1+q to cancel, and the
+    monomial adds none: only q cancels, as far as the low zeros of the
+    product numerator and the exponent of q allow.
+    """
+    ints = num._ints
+    low = 0
+    while not ints[low]:
+        low += 1
+    zeros = low + len(mono._ints) - 1
+    cancel = min(zeros, form[0] + a)
+    out = [0] * (zeros - cancel) + [mono._ints[-1] * d for d in ints[low:]]
+    a += form[0] - cancel
+    return _ratfunc(_poly(out, num._den * mono._den), _form_den(a, form[1]), (a, form[1]))
 
 
 def _as_ratfunc(value: object) -> RatFunc:

@@ -280,9 +280,11 @@ class Identity(_Record):
     ``lhs``, the same closed form and the same ``rhs``; ``run_suite``
     verifies each key once per run (see the module docstring).  The
     default key is the tuple itself.
-    ``max_index(bounds)`` is the largest q-Euler index any tuple of the
-    grid asks for (None when the identity asks for none); ``run_suite``
-    checks it against the cap of the shared cache before any case runs.
+    ``max_index(params)`` is the largest q-Euler index the tuple asks for
+    (None when the identity asks for none).  It grows with every degree,
+    so no tuple of a grid asks for more than ``corner(bounds)``;
+    ``run_suite`` checks that against the cap of the shared cache before
+    any case runs, and ``verify_identity`` each tuple before its sides.
     ``integrand``, set on the ten integral identities, gives their ``lhs``.
     """
 
@@ -309,6 +311,13 @@ class Identity(_Record):
                     continue
                 for k in range(min(*degrees, bounds["k"]) + 1):
                     yield degrees + (k,)
+
+    def corner(self, bounds: Bounds) -> Params:
+        """The tuple with every parameter at its bound (k too, so not always
+        in the grid): where ``max_index`` peaks over the grid."""
+        if any(name == "s" for name, _, _ in self.bounds):
+            return (bounds["n"],) * bounds["s"] + (bounds["k"],)
+        return tuple(bounds[name] for name, _, _ in self.bounds)
 
     def closed_form(self, params: Params) -> object:
         """The closed form at params: ``rhs_k0`` when set and k = 0, else ``rhs``."""
@@ -561,7 +570,7 @@ _register(
         "boundary sum of q^l l^m"
     ),
     bounds=(("m", "m", 6), ("nshift", "n", 4)),
-    max_index=lambda b: b["m"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[1] >= 1,
     integrand=lambda p: (1, p[1], _binomial_power(p[1], 1, p[0])),
     rhs=_eq2_rhs,
@@ -571,7 +580,7 @@ _register(
     tag="eq9_frobenius",
     description="E_n(q) = (2/(1+q)) H_n(-1/q)",
     bounds=(("n", "n", 10),),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     lhs=_eq9_lhs,
     rhs=_eq9_rhs,
 )
@@ -580,7 +589,7 @@ _register(
     tag="thm1_reflection",
     description="(-1)^n E_n(x, 1/q) = q E_n(1-x, q), coefficientwise in x",
     bounds=(("n", "n", 8),),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     lhs=_thm1_lhs,
     rhs=_thm1_rhs,
 )
@@ -589,7 +598,7 @@ _register(
     tag="thm2_value_at_two",
     description="q E_n(2, q) = 2 + (1/q) E_n(q) for n >= 1",
     bounds=(("n", "n", 8),),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[0] >= 1,
     integrand=lambda p: (1, 1, _binomial_power(2, 1, p[0])),
     rhs=_thm2_rhs,
@@ -602,7 +611,7 @@ _register(
         "for n >= 1"
     ),
     bounds=(("n", "n", 8),),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[0] >= 1,
     integrand=lambda p: (-1, 0, _binomial_power(1, -1, p[0])),
     rhs=_thm3_rhs,
@@ -615,7 +624,7 @@ _register(
         "sum of E_{k+j}(q), j up to n-k"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[1] < p[0],
     integrand=lambda p: (1, 0, _basis_ints(p[:1], p[1])),
     rhs=_eq14_rhs,
@@ -636,7 +645,7 @@ _register(
         "else C(n,k) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[1] < p[0],
     integrand=lambda p: (-1, 1, _basis_ints(p[:1], p[1])),
     rhs=_thm4_rhs,
@@ -650,7 +659,7 @@ _register(
         "when k = 0, else (1/q) sum_j C(k,j) (-1)^(k-j) E_{n-j}(q)"
     ),
     bounds=(("n", "n", 8), ("k", "k", 8)),
-    max_index=lambda b: b["n"],
+    max_index=lambda p: p[0],
     admissible=lambda p: p[1] < p[0],
     integrand=lambda p: (-1, 0, _moment_sum_ints(p[1], p[0])),
     rhs=_cor5_rhs,
@@ -665,7 +674,7 @@ _register(
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
-    max_index=lambda b: b["n"] + b["m"],
+    max_index=lambda p: p[0] + p[1],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     integrand=lambda p: (-1, 1, _basis_ints(p[:2], p[2])),
     rhs=_thm6_rhs,
@@ -681,7 +690,7 @@ _register(
         "sum_j C(2k,j) (-1)^(j+2k) E_{n+m-j}(q)"
     ),
     bounds=(("n", "n", 6), ("m", "m", 6), ("k", "k", 6)),
-    max_index=lambda b: b["n"] + b["m"],
+    max_index=lambda p: p[0] + p[1],
     admissible=lambda p: p[0] + p[1] > 2 * p[2],
     integrand=lambda p: (-1, 0, _moment_sum_ints(2 * p[2], p[0] + p[1])),
     rhs=_cor7_rhs,
@@ -698,7 +707,7 @@ _register(
         "params are (n_1, ..., n_s, k)"
     ),
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
-    max_index=lambda b: b["s"] * b["n"],
+    max_index=lambda p: sum(p[:-1]),
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     integrand=lambda p: (-1, 1, _basis_ints(p[:-1], p[-1])),
     rhs=_thm8_rhs,
@@ -715,7 +724,7 @@ _register(
         "(n_1, ..., n_s, k)"
     ),
     bounds=(("s", "s", 3), ("n", "n", 4), ("k", "k", 4)),
-    max_index=lambda b: b["s"] * b["n"],
+    max_index=lambda p: sum(p[:-1]),
     admissible=lambda p: sum(p[:-1]) > (len(p) - 1) * p[-1],
     integrand=lambda p: (-1, 0, _moment_sum_ints((len(p) - 1) * p[-1], sum(p[:-1]))),
     rhs=_cor9_rhs,
@@ -730,6 +739,8 @@ def _admitted(tag: str, params: Sequence[int]) -> tuple[Identity, Params]:
     params = _check_params(identity, tuple(params))
     if not identity.admissible(params):
         raise SideConditionError(f"{tag} side condition fails at {params}")
+    if identity.max_index is not None:
+        _check_cap(identity.max_index(params))
     return identity, params
 
 
@@ -737,7 +748,9 @@ def verify_identity(tag: str, params: Sequence[int]) -> VerificationResult:
     """Check one registry identity at one parameter tuple, exactly.
 
     Raises SideConditionError when the tuple violates the identity's
-    hypothesis and ValueError for malformed parameters or unknown tags.
+    hypothesis, ValueError for malformed parameters or unknown tags, and
+    IndexCapError, before either side is formed, when the tuple asks for
+    a q-Euler index above the cap.
     """
     identity, params = _admitted(tag, params)
     lhs = identity.lhs(params)
@@ -913,7 +926,8 @@ def run_suite(ranges: Mapping[str, Mapping[str, int]]) -> SuiteReport:
                                  f"got {value!r}")
     # Every cross-check reads q-Euler values within the grids of the
     # identities it relates, so the stated maxima cover them too.
-    _check_cap(max((REGISTRY[tag].max_index(bounds) for tag, bounds in ranges.items()
+    _check_cap(max((REGISTRY[tag].max_index(REGISTRY[tag].corner(bounds))
+                    for tag, bounds in ranges.items()
                     if REGISTRY[tag].max_index is not None), default=0))
     return _run_cases(ranges)
 

@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeuler.exactalg import (
@@ -392,15 +392,46 @@ def test_division_by_a_form_numerator_matches_general_canonicalisation(f, g):
     _assert_same_storage(f / g, RatFunc(f.num * g.den, f.den * g.num))
 
 
+@st.composite
+def monomials(draw):
+    """c q^j / (e q^a), c = 0 now and then, canonicalised through
+    RatFunc(num, den): the shape of q, 1/q and q**qshift."""
+    num = PolyQ((Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))),))
+    num = num * PolyQ.monomial(draw(st.integers(0, 4)))
+    return RatFunc(num, PolyQ.monomial(draw(st.integers(0, 4))))
+
+
+@settings(max_examples=300)
+@given(monomials(), form_operands())
+@example(1 / q, q / (1 + q))  # a q cancels against a zero constant term
+@example(1 / q, q * q)
+@example(q, 1 / q)
+@example(RatFunc(0), 1 / q)
+@example(q, RatFunc(0))
+def test_products_by_a_monomial_match_general_canonicalisation(m, f):
+    product = RatFunc(m.num * f.num, m.den * f.den)
+    _assert_same_storage(m * f, product)
+    _assert_same_storage(f * m, product)
+
+
 # -- the n-ary sum against the left fold of + and * ---------------------------
 
 
 @st.composite
 def lincomb_operands(draw):
     """Coefficients (ints or form_operands values) and values (form_operands),
-    with zero terms and, now and then, a last value that cancels the sum so
-    far down to a numerator with factors q and 1+q to strip."""
+    with zero terms.  Now and then the values come in descending b, as the
+    closed forms list E_{n-j}, or with numerators over 2, 3 or 6, so the
+    common integer denominator is not 1, or with an int or Fraction value
+    mid-list, which ends the gcd-free pass; and now and then a last value
+    cancels the sum so far down to a numerator with factors q and 1+q."""
     values = draw(st.lists(form_operands(), max_size=5))
+    if draw(st.booleans()):
+        values.sort(key=lambda v: v._form[1] if v._form else -1, reverse=True)
+    values = [v * Fraction(1, draw(st.sampled_from([1, 2, 3, 6]))) for v in values]
+    if values and draw(st.booleans()):
+        scalar = draw(st.one_of(st.integers(-3, 3), small_fractions))
+        values.insert(draw(st.integers(0, len(values))), scalar)
     coeffs = [draw(st.one_of(st.integers(-3, 3), form_operands())) for _ in values]
     if values and draw(st.booleans()):
         target = draw(form_operands())
@@ -425,7 +456,7 @@ def test_lincomb_matches_left_fold(operands):
     # and the same sum canonicalised once through RatFunc(num, den)
     num, den = PolyQ(), PolyQ((1,))
     for c, v in zip(coeffs, values):
-        c = RatFunc(c)
+        c, v = RatFunc(c), RatFunc(v)
         num, den = num * c.den * v.den + c.num * v.num * den, den * c.den * v.den
     _assert_same_storage(total, RatFunc(num, den))
 

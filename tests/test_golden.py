@@ -65,6 +65,11 @@ DIGEST_CASES = {
                                   "--id", "cor5", "--n-max", "24", "--k-max", "24"],
     "verify_eq2_m12_n60": ["verify", "--id", "eq2", "--m-max", "12",
                            "--n-max", "60"],
+    # every closed form goes through a product by 1/q
+    "verify_cor5_cor7_cor9_n8_s4": ["verify", "--id", "cor5", "--id", "cor7",
+                                    "--id", "cor9", "--n-max", "8", "--s-max", "4"],
+    # products of XPoly coefficients by q
+    "verify_thm1_n40": ["verify", "--id", "thm1", "--n-max", "40"],
 }
 
 

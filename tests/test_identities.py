@@ -796,13 +796,38 @@ def test_stated_max_index_is_the_largest_index_requested(monkeypatch, caps):
         monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache())
         requested.clear()
         run_suite({tag: bounds})
-        stated = REGISTRY[tag].max_index
-        assert max(requested, default=None) == (stated and stated(bounds)), tag
+        identity = REGISTRY[tag]
+        stated = identity.max_index
+        grid = stated and max(map(stated, identity.enumerate_params(bounds)))
+        assert max(requested, default=None) == grid, tag
+        assert grid == (stated and stated(identity.corner(bounds))), tag
     requested.clear()
     run_suite(ranges)  # with the cross-checks
-    assert max(requested) == max(identity.max_index(ranges[tag])
+    assert max(requested) == max(identity.max_index(identity.corner(ranges[tag]))
                                  for tag, identity in REGISTRY.items()
                                  if identity.max_index is not None)
+
+
+def test_verify_refuses_exactly_the_tuples_whose_sides_pass_the_cap(monkeypatch):
+    monkeypatch.setattr(euler, "_DEFAULT_CACHE", EulerCache(n_max=5))
+    # sums cached under the full cap would hide what the small one refuses
+    identities._thm6_sum.cache_clear()
+    identities._thm8_sum.cache_clear()
+    identities._reduce_primitive.cache_clear()
+    for tag, bounds in default_ranges(n_max=7, m_max=7, k_max=2, s_max=3).items():
+        identity = REGISTRY[tag]
+        for params in filter(identity.admissible, identity.enumerate_params(bounds)):
+            try:  # both sides, as formed before any cap check
+                identity.lhs(params), identity.closed_form(params)
+                capped = False
+            except euler.IndexCapError:
+                capped = True
+            try:
+                verify_identity(tag, params)
+                refused = False
+            except euler.IndexCapError:
+                refused = True
+            assert refused == capped, (tag, params)
 
 
 def test_suite_refuses_an_index_above_the_cap_before_any_case(monkeypatch):

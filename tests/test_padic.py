@@ -1,6 +1,7 @@
 """Tests for residue arithmetic and the truncated fermionic sums."""
 
 import pickle
+import time
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from qeuler.cli import main
 from qeuler.euler import IndexCapError, euler_number_q, euler_poly_q
-from qeuler.identities import REGISTRY, Identity, SideConditionError, default_ranges
+from qeuler.exactalg import _binomial_power
+from qeuler.identities import (
+    REGISTRY,
+    Identity,
+    SideConditionError,
+    default_ranges,
+    verify_identity,
+)
 from qeuler.padic import (
     _PRIMALITY_BOUND,
     CALIBRATED_SLACK,
@@ -615,6 +623,19 @@ def test_integral_check_refuses_tags_without_integrand_and_bad_tuples():
             integral_check_numeric(tag, params, 6, 5, 2, 2)
     with pytest.raises(SideConditionError):
         integral_check_numeric("thm4", (2, 2), 6, 5, 2, 2)
+
+
+def test_a_tuple_above_the_cap_is_refused_before_its_integrand_is_formed():
+    # expanding and caching (x + 7)^5000 alone takes seconds
+    _binomial_power(7, 1, 1)
+    cached = _binomial_power.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(IndexCapError, match="index 5000 exceeds"):
+        integral_check_numeric("eq2_symbolic", (5000, 7), 8, 7, 2, 2)
+    with pytest.raises(IndexCapError, match="index 3000 exceeds"):
+        verify_identity("eq2_symbolic", (3000, 7))
+    assert time.perf_counter() - start < 0.02
+    assert _binomial_power.cache_info().currsize == cached
 
 
 def test_integral_check_refuses_a_degree_above_the_cap_before_any_work(monkeypatch):
